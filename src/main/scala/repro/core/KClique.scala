@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{LocalGraph, SparkGraph}
+import repro.graph.{LocalGraph, SetGraph, SparkGraph}
 import repro.setalg.{SetFactory, VertexSet}
 
 /** k-clique listing / counting (paper §6.3, Alg. 7) — the GMS reformulation
@@ -30,66 +30,64 @@ object KClique {
     def throughput: Double = if (totalSec > 0) cliques / totalSec else 0.0
   }
 
-  /** Recursive counting kernel over the oriented CSR. `ci` is sorted. */
-  private def countRec(oriented: LocalGraph, factory: SetFactory,
-                       i: Int, k: Int, ci: VertexSet): Long = {
+  /** Recursive counting kernel over the oriented SetGraph; `ci` is C_i.
+    * One level early it adds Σ_{v∈C} |N⁺(v) ∩ C| with the count-only
+    * `intersectCount` (Listing 1), so no C_k is materialised.
+    */
+  private def countRec(sg: SetGraph, i: Int, k: Int, ci: VertexSet): Long = {
     if (i == k) return ci.cardinality.toLong
     var total = 0L
     val it = ci.iterator
-    while (it.hasNext) {
-      val v = it.next()
-      val nPlus = factory.fromSorted(oriented.neighbors(v), oriented.n)
-      total += countRec(oriented, factory, i + 1, k, nPlus.intersect(ci))
+    if (i == k - 1) {
+      while (it.hasNext) total += sg.neighbors(it.next()).intersectCount(ci)
+    } else {
+      while (it.hasNext) total += countRec(sg, i + 1, k, sg.neighbors(it.next()).intersect(ci))
     }
     total
   }
 
   /** Count k-cliques of the oriented graph starting from one vertex. */
-  def countFromVertex(oriented: LocalGraph, factory: SetFactory,
-                      k: Int, u: Int): Long = {
-    if (k == 1) return 1L
-    val c2 = factory.fromSorted(oriented.neighbors(u), oriented.n)
-    countRec(oriented, factory, 2, k, c2)
-  }
+  def countFromVertex(sg: SetGraph, k: Int, u: Int): Long =
+    if (k == 1) 1L else countRec(sg, 2, k, sg.neighbors(u))
+
+  /** [[countFromVertex]] over a fresh SetGraph, which builds only the sets
+    * this one seed touches.
+    */
+  def countFromVertex(oriented: LocalGraph, factory: SetFactory, k: Int, u: Int): Long =
+    countFromVertex(new SetGraph(oriented, factory), k, u)
 
   /** Count k-cliques of the oriented graph starting from one directed edge. */
-  def countFromEdge(oriented: LocalGraph, factory: SetFactory,
-                    k: Int, u: Int, v: Int): Long = {
-    require(k >= 3, "edge-parallel needs k ≥ 3")
-    val nu = factory.fromSorted(oriented.neighbors(u), oriented.n)
-    val nv = factory.fromSorted(oriented.neighbors(v), oriented.n)
-    countRec(oriented, factory, 3, k, nu.intersect(nv))
-  }
+  private def countFromEdge(sg: SetGraph, k: Int, u: Int, v: Int): Long =
+    countRec(sg, 3, k, sg.neighbors(u).intersect(sg.neighbors(v)))
 
   /** Distributed k-clique count. `rank` is the preprocessing order (computed
     * and timed by the caller via [[MaximalCliques.orderOf]] so benches can
-    * report the reorder fraction, Fig. 5).
+    * report the reorder fraction, Fig. 5). The units are the vertices
+    * (node-parallel) or the arcs of the oriented CSR (edge-parallel).
     */
   def count(g: SparkGraph, k: Int, rank: Array[Int], mode: Mode = EdgeParallel,
             factory: SetFactory = SetFactory.sorted, tasks: Int = 0): Long = {
     require(k >= 2, "k-clique needs k ≥ 2")
-    val spark = g.spark
-    import spark.implicits._
     val local = g.toLocal
-    val oriented = local.orient(rank)
     if (k == 2) return local.m
-    val bc = spark.sparkContext.broadcast(oriented)
-    val nTasks = if (tasks > 0) tasks else spark.sparkContext.defaultParallelism * 4
-    val total = mode match {
+    val oriented = local.orient(rank)
+    val sg = new SetGraph(oriented, factory)
+    val partials = mode match {
       case NodeParallel =>
-        spark.range(oriented.n).as[Long]
-          .repartition(nTasks)
-          .map(u => countFromVertex(bc.value, factory, k, u.toInt))
-          .reduce(_ + _)
+        SeedRunner.run(g.spark.sparkContext, sg, oriented.n, tasks) { (sg, seeds) =>
+          seeds.map(countFromVertex(sg, k, _)).sum
+        }
       case EdgeParallel =>
-        val edges = oriented.edgeListDirected
-        spark.createDataset(edges.toIndexedSeq)
-          .repartition(nTasks)
-          .map { case (u, v) => countFromEdge(bc.value, factory, k, u, v) }
-          .reduce(_ + _)
+        SeedRunner.run(g.spark.sparkContext, sg, oriented.adj.length, tasks) { (sg, arcs) =>
+          val offsets = sg.graph.offsets
+          var u = 0
+          arcs.map { a =>
+            while (offsets(u + 1) <= a) u += 1 // arcs ascend, so their sources do
+            countFromEdge(sg, k, u, sg.graph.adj(a))
+          }.sum
+        }
     }
-    bc.destroy()
-    total
+    partials.sum
   }
 
   /** Full pipeline: order + count, with timings (bench entry point). */
@@ -107,21 +105,18 @@ object KClique {
   /** List all k-cliques (sorted) — test-scale only, driver-side. */
   def listLocal(local: LocalGraph, k: Int, rank: Array[Int],
                 factory: SetFactory = SetFactory.sorted): Seq[Seq[Int]] = {
-    val oriented = local.orient(rank)
+    val sg = new SetGraph(local.orient(rank), factory)
     val out = scala.collection.mutable.ArrayBuffer.empty[Seq[Int]]
     def rec(i: Int, ci: VertexSet, prefix: List[Int]): Unit = {
       if (i == k) { ci.iterator.foreach(v => out += (v :: prefix).sorted) ; return }
       val it = ci.iterator
       while (it.hasNext) {
         val v = it.next()
-        val nPlus = factory.fromSorted(oriented.neighbors(v), oriented.n)
-        rec(i + 1, nPlus.intersect(ci), v :: prefix)
+        rec(i + 1, sg.neighbors(v).intersect(ci), v :: prefix)
       }
     }
     if (k == 1) (0 until local.n).foreach(v => out += Seq(v))
-    else (0 until local.n).foreach { u =>
-      rec(2, factory.fromSorted(oriented.neighbors(u), oriented.n), List(u))
-    }
+    else (0 until local.n).foreach(u => rec(2, sg.neighbors(u), List(u)))
     out.toSeq
   }
 }

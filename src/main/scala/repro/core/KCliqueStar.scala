@@ -1,7 +1,7 @@
 package repro.core
 
-import repro.graph.{LocalGraph, SparkGraph}
-import repro.setalg.SetFactory
+import repro.graph.{LocalGraph, SetGraph, SparkGraph}
+import repro.setalg.{SetFactory, VertexSet}
 
 /** k-clique-star listing (paper §6.6).
   *
@@ -21,59 +21,54 @@ object KCliqueStar {
   def count(g: SparkGraph, k: Int, rank: Array[Int],
             factory: SetFactory = SetFactory.sorted, tasks: Int = 0): Result = {
     require(k >= 2, "k-clique-star needs k ≥ 2")
-    val spark = g.spark
-    import spark.implicits._
     val local = g.toLocal
-    val oriented = local.orient(rank)
-    val bcL = spark.sparkContext.broadcast(local)
-    val bcO = spark.sparkContext.broadcast(oriented)
-    val nTasks = if (tasks > 0) tasks else spark.sparkContext.defaultParallelism * 4
-    val agg = spark.range(local.n).as[Long]
-      .repartition(nTasks)
-      .map { u => countFromVertex(bcL.value, bcO.value, factory, k, u.toInt) }
-      .collect()
-    bcL.destroy(); bcO.destroy()
+    val data = (new SetGraph(local, factory), new SetGraph(local.orient(rank), factory))
+    val agg = SeedRunner.run(g.spark.sparkContext, data, local.n, tasks) { case ((und, ori), seeds) =>
+      seeds.map(countFromVertex(und, ori, k, _)).foldLeft((0L, 0L)) {
+        case ((s, sv), (s1, sv1)) => (s + s1, sv + sv1)
+      }
+    }
     Result(agg.map(_._1).sum, agg.map(_._2).sum)
   }
 
   /** Driver-side reference: list (clique, starSet) pairs. */
   def listLocal(local: LocalGraph, k: Int, rank: Array[Int],
                 factory: SetFactory = SetFactory.sorted): Seq[(Seq[Int], Seq[Int])] = {
+    val und = new SetGraph(local, factory)
     KClique.listLocal(local, k, rank, factory).flatMap { c =>
-      val s = starSet(local, factory, c)
+      val s = commonNeighbors(und, c).toArray.toSeq
       if (s.nonEmpty) Some((c, s)) else None
     }
   }
 
-  /** S = (∩_{v∈C} N(v)) \ C — pure set algebra over the chosen representation. */
-  private def starSet(local: LocalGraph, factory: SetFactory, clique: Seq[Int]): Seq[Int] = {
-    val s = factory.fromSorted(local.neighbors(clique.head), local.n)
-    clique.tail.foreach(v =>
-      s.intersectInplace(factory.fromSorted(local.neighbors(v), local.n)))
-    clique.foreach(s.remove)
-    s.toArray.toSeq
-  }
+  /** ∩_{v∈vs} N(v) — pure set algebra over the chosen representation. For a
+    * clique C this is its star set S: v ∉ N(v), so C's own vertices drop out.
+    * Read-only: for one vertex it is that vertex's shared set.
+    */
+  private def commonNeighbors(und: SetGraph, vs: Seq[Int]): VertexSet =
+    vs.tail.foldLeft(und.neighbors(vs.head))((s, v) => s.intersect(und.neighbors(v)))
 
-  private def countFromVertex(local: LocalGraph, oriented: LocalGraph,
-                              factory: SetFactory, k: Int, u: Int): (Long, Long) = {
+  private def countFromVertex(und: SetGraph, ori: SetGraph, k: Int, u: Int): (Long, Long) = {
     var stars = 0L
     var starVerts = 0L
-    def rec(i: Int, ci: repro.setalg.VertexSet, prefix: List[Int]): Unit = {
+    def rec(i: Int, ci: VertexSet, prefix: List[Int]): Unit = {
       if (i == k) {
+        // S of clique v :: prefix is (∩_{p∈prefix} N(p)) ∩ N(v); the prefix
+        // part is shared by every leaf v, and only |S| is needed.
+        val common = commonNeighbors(und, prefix)
         ci.iterator.foreach { v =>
-          val s = starSet(local, factory, v :: prefix)
-          if (s.nonEmpty) { stars += 1; starVerts += s.length }
+          val s = common.intersectCount(und.neighbors(v))
+          if (s > 0) { stars += 1; starVerts += s }
         }
         return
       }
       val it = ci.iterator
       while (it.hasNext) {
         val v = it.next()
-        val nPlus = factory.fromSorted(oriented.neighbors(v), oriented.n)
-        rec(i + 1, nPlus.intersect(ci), v :: prefix)
+        rec(i + 1, ori.neighbors(v).intersect(ci), v :: prefix)
       }
     }
-    rec(2, factory.fromSorted(oriented.neighbors(u), oriented.n), List(u))
+    rec(2, ori.neighbors(u), List(u))
     (stars, starVerts)
   }
 }

@@ -1,15 +1,16 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.graph.{LocalGraph, Reorder, SparkGraph}
-import repro.setalg.{DenseBitSet, SetFactory, VertexSet}
+import repro.graph.{LocalGraph, Reorder, SetGraph, SparkGraph}
+import repro.setalg.{DenseBitSet, SetFactory}
 import scala.collection.mutable.ArrayBuffer
 
 /** Distributed maximal clique listing (paper §6.2, Alg. 6).
   *
-  * The outer loop over ordered vertices becomes a Spark job: the graph CSR
-  * and the vertex order are broadcast, each task runs the [[BronKerbosch]]
-  * kernel for a batch of seed vertices, and per-task statistics are reduced.
+  * The outer loop over ordered vertices becomes a Spark job: a [[SeedRunner]]
+  * broadcasts the [[SetGraph]] and the vertex order, each task runs the
+  * [[BronKerbosch]] kernel for its share of seed vertices, and per-task
+  * statistics are reduced.
   * That mirrors the paper's OpenMP parallel-for over the outermost level
   * (their nested-parallel variant "proved consistently slower", §6.2 — we
   * parallelize only the outer level, as their final version does).
@@ -97,40 +98,20 @@ object MaximalCliques {
   def mineLocal(spark: org.apache.spark.sql.SparkSession, local: LocalGraph,
                 rank: Array[Int], variant: Variant, tasks: Int = 0): Result = {
     val t1 = System.nanoTime()
-    val bcG = spark.sparkContext.broadcast(local)
-    val bcRank = spark.sparkContext.broadcast(rank)
-    val nTasks = if (tasks > 0) tasks else spark.sparkContext.defaultParallelism * 4
-    val factory = variant.sets
     val subgraph = variant.subgraphOpt
-
-    import spark.implicits._
-    val stats = spark.range(local.n).as[Long]
-      .repartition(nTasks)
-      .mapPartitions { it =>
-        val graph = bcG.value
-        val rk = bcRank.value
-        var count = 0L
-        var sumSizes = 0L
-        var maxSize = 0
-        val onClique: ArrayBuffer[Int] => Unit = r => {
-          count += 1
-          sumSizes += r.length
-          if (r.length > maxSize) maxSize = r.length
-        }
-        if (subgraph) it.foreach(v => seedSubgraph(graph, rk, v.toInt, onClique))
-        else {
-          val memo = new Array[VertexSet](graph.n)
-          def nb(v: Int): VertexSet = {
-            if (memo(v) == null) memo(v) = factory.fromSorted(graph.neighbors(v), graph.n)
-            memo(v)
-          }
-          it.foreach(v => seedGlobal(graph, rk, v.toInt, factory, nb, onClique))
-        }
-        Iterator.single((count, sumSizes, maxSize))
+    val stats = SeedRunner.run(spark.sparkContext, (new SetGraph(local, variant.sets), rank),
+                               local.n, tasks) { case ((sg, rk), seeds) =>
+      var count = 0L
+      var sumSizes = 0L
+      var maxSize = 0
+      val onClique: ArrayBuffer[Int] => Unit = r => {
+        count += 1
+        sumSizes += r.length
+        if (r.length > maxSize) maxSize = r.length
       }
-      .collect()
-
-    bcG.destroy(); bcRank.destroy()
+      seeds.foreach(v => seed(sg, rk, v, subgraph, onClique))
+      (count, sumSizes, maxSize)
+    }
     val mineSec = (System.nanoTime() - t1) / 1e9
     Result(stats.map(_._1).sum, stats.map(_._3).foldLeft(0)(math.max),
            stats.map(_._2).sum, 0.0, mineSec)
@@ -146,33 +127,28 @@ object MaximalCliques {
   def listLocal(graph: LocalGraph, rank: Array[Int], factory: SetFactory,
                 subgraphOpt: Boolean = false): Seq[Seq[Int]] = {
     val out = ArrayBuffer.empty[Seq[Int]]
-    val onClique: ArrayBuffer[Int] => Unit = r => out += r.toArray.toSeq.sorted
-    if (subgraphOpt) {
-      (0 until graph.n).foreach(v => seedSubgraph(graph, rank, v, onClique))
-    } else {
-      val memo = new Array[VertexSet](graph.n)
-      def nb(v: Int): VertexSet = {
-        if (memo(v) == null) memo(v) = factory.fromSorted(graph.neighbors(v), graph.n)
-        memo(v)
-      }
-      (0 until graph.n).foreach(v => seedGlobal(graph, rank, v, factory, nb, onClique))
-    }
+    val sg = new SetGraph(graph, factory)
+    (0 until graph.n).foreach(v => seed(sg, rank, v, subgraphOpt, r => out += r.toArray.toSeq.sorted))
     out.toSeq
   }
+
+  private def seed(sg: SetGraph, rank: Array[Int], v: Int, subgraphOpt: Boolean,
+                   onClique: ArrayBuffer[Int] => Unit): Unit =
+    if (subgraphOpt) seedSubgraph(sg.graph, rank, v, onClique)
+    else seedGlobal(sg, rank, v, onClique)
 
   /** Outer-level seed using global-ID sets (Alg. 6 line 13: split N(v) into
     * later / earlier neighbors by the order).
     */
-  private def seedGlobal(graph: LocalGraph, rank: Array[Int], v: Int,
-                         factory: SetFactory, nb: Int => VertexSet,
+  private def seedGlobal(sg: SetGraph, rank: Array[Int], v: Int,
                          onClique: ArrayBuffer[Int] => Unit): Unit = {
-    val ns = graph.neighbors(v)
+    val ns = sg.graph.neighbors(v)
     val later = ns.filter(w => rank(w) > rank(v))
     val earlier = ns.filter(w => rank(w) < rank(v))
     BronKerbosch.fromSeed(v,
-      factory.fromSorted(later, graph.n),
-      factory.fromSorted(earlier, graph.n),
-      nb, onClique)
+      sg.factory.fromSorted(later, sg.n),
+      sg.factory.fromSorted(earlier, sg.n),
+      sg.neighbors, onClique)
   }
 
   /** Outer-level seed with the subgraph optimization: all recursion runs in

@@ -1,0 +1,35 @@
+package repro.core
+
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
+import scala.reflect.ClassTag
+
+/** The Spark half of every seed-parallel kernel: the distributed-dataflow
+  * analogue of the paper's OpenMP parallel-for over the outermost search
+  * level (§6.2-6.3).
+  *
+  * The kernel's data is broadcast once; task `t` of `T` then runs units
+  * `t, t+T, t+2T, …` (seed vertices, or arcs of an oriented CSR) and returns
+  * one partial result, collected in task order. There is no shuffle: a task
+  * is an index, and the units are strided so that runs of heavy neighboring
+  * seeds spread over all tasks.
+  */
+object SeedRunner {
+
+  /** Broadcast `data` and run `task(data, myUnits)` as `T` Spark tasks over
+    * `units` units, where `T` is `tasks` if positive, else 4× the default
+    * parallelism. The broadcast is destroyed when the job ends, also when it
+    * fails.
+    */
+  def run[D: ClassTag, R: ClassTag](sc: SparkContext, data: D, units: Int, tasks: Int)
+                                   (task: (D, Iterator[Int]) => R): Array[R] =
+    runOn(sc, sc.broadcast(data), units, if (tasks > 0) tasks else sc.defaultParallelism * 4)(task)
+
+  private[core] def runOn[D, R: ClassTag](sc: SparkContext, bc: Broadcast[D], units: Int, nTasks: Int)
+                                         (task: (D, Iterator[Int]) => R): Array[R] =
+    try {
+      sc.parallelize(0 until nTasks, nTasks)
+        .map(t => task(bc.value, Iterator.range(t, units, nTasks)))
+        .collect()
+    } finally bc.destroy()
+}

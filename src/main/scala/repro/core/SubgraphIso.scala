@@ -178,12 +178,7 @@ object SubgraphIso {
     import spark.implicits._
     val local = g.toLocal
     val order = searchOrder(pattern.graph)
-    val bcG = spark.sparkContext.broadcast(local)
-    val bcL = spark.sparkContext.broadcast(gLabels)
-    val bcP = spark.sparkContext.broadcast(pattern)
-    val bcC = spark.sparkContext.broadcast(
-      if (variant == Precompute) precomputeCandidates(local, gLabels, pattern, factory)
-      else null)
+    val cand = if (variant == Precompute) precomputeCandidates(local, gLabels, pattern, factory) else null
     val cores = spark.sparkContext.defaultParallelism
     // `tasks` is the emulated thread count: work runs in exactly this many
     // partitions (the Fig.-7 scaling axis). Variants differ in the *units*
@@ -205,23 +200,27 @@ object SubgraphIso {
       case _ => roots
     }
     val withIdx = units.zipWithIndex.map { case (u, i) => (i.toLong, u.toSeq) }
-    val ds = spark.createDataset(withIdx)
-    val placed = variant match {
-      case Base | WorkSplit =>
-        // Static contiguous split of the unit list.
-        ds.repartitionByRange(nTasks, col("_1"))
-      case WorkSteal | Precompute =>
-        // Balanced round-robin placement (stealing emulation).
-        ds.repartition(nTasks)
-    }
-    val total = placed
-      .map { case (_, pre) =>
-        countFrom(bcG.value, bcL.value, bcP.value, order, induced,
-                  factory, bcC.value, pre.toArray)
+    val bcG = spark.sparkContext.broadcast(local)
+    val bcL = spark.sparkContext.broadcast(gLabels)
+    val bcP = spark.sparkContext.broadcast(pattern)
+    val bcC = spark.sparkContext.broadcast(cand)
+    try {
+      val ds = spark.createDataset(withIdx)
+      val placed = variant match {
+        case Base | WorkSplit =>
+          // Static contiguous split of the unit list.
+          ds.repartitionByRange(nTasks, col("_1"))
+        case WorkSteal | Precompute =>
+          // Balanced round-robin placement (stealing emulation).
+          ds.repartition(nTasks)
       }
-      .reduce(_ + _)
-    bcG.destroy(); bcL.destroy(); bcP.destroy(); bcC.destroy()
-    total
+      placed
+        .map { case (_, pre) =>
+          countFrom(bcG.value, bcL.value, bcP.value, order, induced,
+                    factory, bcC.value, pre.toArray)
+        }
+        .reduce(_ + _)
+    } finally { bcG.destroy(); bcL.destroy(); bcP.destroy(); bcC.destroy() }
   }
 
   /** Driver-side brute-force reference (all injective label-respecting

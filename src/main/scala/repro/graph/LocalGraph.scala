@@ -7,9 +7,9 @@ import repro.setalg.{SetFactory, VertexSet}
   * offsets(v+1))`, sorted ascending, no self-loops, no duplicates, and the
   * graph is symmetric (undirected).
   *
-  * This is the broadcast-side structure the distributed kernels read; the
-  * paper's `SetGraph<TSet>` (Listing 2) corresponds to [[neighborhoods]],
-  * which materialises each neighborhood under a chosen [[SetFactory]].
+  * This is the structure the distributed kernels broadcast, wrapped in a
+  * [[SetGraph]] (the paper's `SetGraph<TSet>`, Listing 2) that reads each
+  * neighborhood under a chosen [[SetFactory]].
   */
 final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Serializable {
 
@@ -42,8 +42,8 @@ final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Ser
   private def binarySearchRange(a: Array[Int], from: Int, to: Int, key: Int): Int =
     java.util.Arrays.binarySearch(a, from, to, key)
 
-  /** Paper Listing 2: the set-centric graph representation — one [[VertexSet]]
-    * per neighborhood, under an arbitrary set implementation.
+  /** Every neighborhood as a [[VertexSet]], built eagerly — the Fig.-8c
+    * representation-size probe. Kernels read sets through [[SetGraph]].
     */
   def neighborhoods(factory: SetFactory): Array[VertexSet] = {
     val out = new Array[VertexSet](n)

@@ -119,10 +119,13 @@ object DenseBitSet extends SetFactory {
     new DenseBitSet(new Array[Long](nWords(universe)), 0)
 
   override def fromSorted(sorted: Array[Int], universe: Int): VertexSet = {
-    val hi = if (sorted.isEmpty) universe else math.max(universe, sorted.last + 1)
-    val words = new Array[Long](nWords(hi))
+    val words = new Array[Long](nWords(universe))
     var i = 0
-    while (i < sorted.length) { val v = sorted(i); words(v >>> 6) |= 1L << (v & 63); i += 1 }
+    while (i < sorted.length) {
+      val v = sorted(i)
+      require(v >= 0 && v < universe, s"vertex $v outside universe [0, $universe)")
+      words(v >>> 6) |= 1L << (v & 63); i += 1
+    }
     new DenseBitSet(words, sorted.length)
   }
 }

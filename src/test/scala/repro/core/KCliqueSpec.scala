@@ -31,6 +31,21 @@ class KCliqueSpec extends SparkSpec {
     }
   }
 
+  // n=14 leaves some of 64 tasks without a unit in both modes.
+  private lazy val smallGraphs = Seq(GraphGen.erLocal(14, 0.5, 10), GraphGen.erLocal(24, 0.4, 11))
+  private lazy val smallBrute = smallGraphs.map(l => (3 to 5).map(bruteCount(l, _)))
+
+  for (f <- SetFactory.all; mode <- Seq(KClique.NodeParallel, KClique.EdgeParallel)) {
+    test(s"${f.name} ${mode.name}: brute force agrees for tasks 1, 3 and 64") {
+      for ((local, brute) <- smallGraphs.zip(smallBrute)) {
+        val g = SparkGraph.fromLocal(spark, local)
+        val (rank, _, _) = Reorder.degeneracyLocal(local)
+        for (tasks <- Seq(1, 3, 64); k <- 3 to 5)
+          assert(KClique.count(g, k, rank, mode, f, tasks) == brute(k - 3), s"n=${local.n} tasks=$tasks k=$k")
+      }
+    }
+  }
+
   test("node-parallel and edge-parallel agree") {
     val local = GraphGen.erLocal(40, 0.3, 4)
     val g = SparkGraph.fromLocal(spark, local)

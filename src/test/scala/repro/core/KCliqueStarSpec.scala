@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.graph.{GraphGen, LocalGraph, SparkGraph}
+import repro.setalg.SetFactory
 
 class KCliqueStarSpec extends SparkSpec {
 
@@ -53,6 +54,17 @@ class KCliqueStarSpec extends SparkSpec {
         assert(stars.exists(_._1 == sub))
       }
     }
+  }
+
+  test("count is invariant under the task count, every representation") {
+    val local = GraphGen.erLocal(30, 0.35, 73)
+    val g = SparkGraph.fromLocal(spark, local)
+    val rank = Array.range(0, local.n)
+    val ref = KCliqueStar.listLocal(local, 3, rank)
+    val want = KCliqueStar.Result(ref.size.toLong, ref.map(_._2.size.toLong).sum)
+    assert(want.stars > 0)
+    for (f <- SetFactory.all; tasks <- Seq(1, 3, 64))
+      assert(KCliqueStar.count(g, 3, rank, f, tasks) == want, s"${f.name} tasks=$tasks")
   }
 
   test("count is order-invariant") {

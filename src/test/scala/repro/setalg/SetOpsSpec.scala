@@ -153,6 +153,12 @@ class SetOpsSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](SetFactory.byName("nope"))
   }
 
+  test("DenseBitSet.fromSorted rejects elements outside the universe") {
+    assertThrows[IllegalArgumentException](DenseBitSet.fromSorted(Array(3, universe), universe))
+    assertThrows[IllegalArgumentException](DenseBitSet.fromSorted(Array(-1, 3), universe))
+    assert(DenseBitSet.fromSorted(Array(0, universe - 1), universe).toArray.toSeq == Seq(0, universe - 1))
+  }
+
   test("hash set survives heavy churn (backward-shift deletion)") {
     val rnd = new Random(7)
     val s = HashVertexSet.empty(universe)
