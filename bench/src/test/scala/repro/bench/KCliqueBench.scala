@@ -1,7 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{KClique, MaximalCliques}
+import repro.core.KClique
+import repro.graph.Reorder
 import repro.metrics.Metrics
 
 /** Fig. 5 — k-clique listing under DEG / DGR / ADG reorderings (with the
@@ -13,10 +14,10 @@ class KCliqueBench extends SparkSpec {
 
   test("Fig 5: k-clique listing, reordering sweep") {
     val graphs = Seq("kron-social", "planted-rec").map(BenchGraphs.byName)
-    val orders = Seq[(String, MaximalCliques.Order)](
-      "DEG" -> MaximalCliques.DegOrder,
-      "DGR" -> MaximalCliques.DgrParOrder,
-      "ADG" -> MaximalCliques.AdgOrder(0.1))
+    val orders = Seq[(String, Reorder.Order)](
+      "DEG" -> Reorder.DegOrder,
+      "DGR" -> Reorder.DgrOrder,
+      "ADG" -> Reorder.AdgOrder(0.1))
     val rows = for {
       ng <- graphs
       g = ng.build(spark)
@@ -37,10 +38,10 @@ class KCliqueBench extends SparkSpec {
 
   test("Fig 9: GMS vs node-parallel (GBBS-style) vs edge-parallel (Danisch-style)") {
     val graphs = Seq("lattice-struct", "planted-rec").map(BenchGraphs.byName)
-    val schemes = Seq[(String, MaximalCliques.Order, KClique.Mode)](
-      ("Danisch-EP-DGR", MaximalCliques.DgrParOrder, KClique.EdgeParallel),
-      ("GBBS-NP-DGR", MaximalCliques.DgrParOrder, KClique.NodeParallel),
-      ("GMS-EP-ADG", MaximalCliques.AdgOrder(0.1), KClique.EdgeParallel))
+    val schemes = Seq[(String, Reorder.Order, KClique.Mode)](
+      ("Danisch-EP-DGR", Reorder.DgrOrder, KClique.EdgeParallel),
+      ("GBBS-NP-DGR", Reorder.DgrOrder, KClique.NodeParallel),
+      ("GMS-EP-ADG", Reorder.AdgOrder(0.1), KClique.EdgeParallel))
     val rows = for {
       ng <- graphs
       g = ng.build(spark)

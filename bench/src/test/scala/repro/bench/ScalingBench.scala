@@ -25,8 +25,7 @@ class ScalingBench extends SparkSpec {
   test("Fig 8b: thread scaling with CPU-utilization proxy") {
     val g = BenchGraphs.byName("kron-social").build(spark)
     val local = g.toLocal
-    val rank = repro.graph.Reorder.rankArray(
-      MaximalCliques.orderOf(g, MaximalCliques.AdgOrder(0.1)), g.n)
+    val rank = repro.graph.Reorder.rank(local, repro.graph.Reorder.AdgOrder(0.1))
     // JIT warm-up outside the measured region.
     MaximalCliques.mineLocal(spark, local, rank, MaximalCliques.BkGmsAdg())
     val rows = Seq(1, 2, 4, 8, 16).map { threads =>

@@ -60,8 +60,7 @@ object KCliqueJob {
     val k = if (args.length > 1) args(1).toInt else 4
     val spark = Jobs.session(s"kclique-$name-$k")
     val g = Jobs.graph(spark, name, bench = false)
-    val rows = Seq(MaximalCliques.DegOrder, MaximalCliques.DgrOrder,
-                   MaximalCliques.AdgOrder(0.1)).map { o =>
+    val rows = Seq(Reorder.DegOrder, Reorder.DgrOrder, Reorder.AdgOrder(0.1)).map { o =>
       val r = KClique.run(g, k, o)
       Seq(s"KC-${o.name}", r.cliques.toString, Metrics.f2(r.reorderSec),
           Metrics.f2(r.mineSec), Metrics.human(r.throughput))

@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.graph.{LocalGraph, Reorder, SetGraph, SparkGraph}
+import repro.graph.Reorder.{AdgOrder, DegOrder, DgrOrder, IdOrder, Order}
 import repro.setalg.{DenseBitSet, SetFactory}
 import scala.collection.mutable.ArrayBuffer
 
@@ -31,27 +31,13 @@ import scala.collection.mutable.ArrayBuffer
   */
 object MaximalCliques {
 
-  /** Vertex-order choices for preprocessing. */
-  sealed trait Order { def name: String }
-  case object IdOrder     extends Order { val name = "ID"  }
-  case object DegOrder    extends Order { val name = "DEG" }
-  /** Exact degeneracy via driver-side sequential peeling (test reference;
-    * the paper's "DGR is not easily parallelizable" baseline).
-    */
-  case object DgrOrder    extends Order { val name = "DGR-seq" }
-  /** Exact degeneracy via dataflow batched peeling (the parallel-platform
-    * DGR the benches compare against ADG).
-    */
-  case object DgrParOrder extends Order { val name = "DGR" }
-  final case class AdgOrder(eps: Double = 0.1) extends Order { val name = "ADG" }
-
   /** One BK configuration. */
   final case class Variant(name: String, order: Order, sets: SetFactory,
                            subgraphOpt: Boolean = false)
 
   val BkDas: Variant     = Variant("BK-DAS", IdOrder, SetFactory.hash)
   val BkGmsDeg: Variant  = Variant("BK-GMS-DEG", DegOrder, SetFactory.roaring)
-  val BkGmsDgr: Variant  = Variant("BK-GMS-DGR", DgrParOrder, SetFactory.roaring)
+  val BkGmsDgr: Variant  = Variant("BK-GMS-DGR", DgrOrder, SetFactory.roaring)
   def BkGmsAdg(eps: Double = 0.1): Variant =
     Variant("BK-GMS-ADG", AdgOrder(eps), SetFactory.roaring)
   def BkGmsAdgS(eps: Double = 0.1): Variant =
@@ -69,26 +55,15 @@ object MaximalCliques {
     def throughput: Double = if (totalSec > 0) cliques / totalSec else 0.0
   }
 
-  /** Compute the (v, rank) order for a variant (timed separately — Fig. 4
-    * shades the reorder fraction).
-    */
-  def orderOf(g: SparkGraph, order: Order): DataFrame = order match {
-    case IdOrder      => Reorder.byId(g)
-    case DegOrder     => Reorder.byDegree(g)
-    case DgrOrder     => Reorder.degeneracy(g)
-    case DgrParOrder  => Reorder.degeneracyPar(g).order
-    case AdgOrder(e)  => Reorder.adg(g, e).order
-  }
-
   /** Count maximal cliques under `variant`. `tasks` caps the number of Spark
     * partitions (0 ⇒ 4× default parallelism; pass k for the Fig.-8b
     * thread-scaling sweep).
     */
   def run(g: SparkGraph, variant: Variant, tasks: Int = 0): Result = {
-    val t0 = System.nanoTime()
-    val rank = Reorder.rankArray(orderOf(g, variant.order), g.n)
-    val reorderSec = (System.nanoTime() - t0) / 1e9
     val local = g.toLocal
+    val t0 = System.nanoTime()
+    val rank = Reorder.rank(local, variant.order)
+    val reorderSec = (System.nanoTime() - t0) / 1e9
     mineLocal(g.spark, local, rank, variant, tasks).copy(reorderSec = reorderSec)
   }
 
@@ -119,8 +94,8 @@ object MaximalCliques {
 
   /** List all maximal cliques (sorted vertex lists) — test-scale only. */
   def list(g: SparkGraph, variant: Variant): Seq[Seq[Int]] = {
-    val rank = Reorder.rankArray(orderOf(g, variant.order), g.n)
-    listLocal(g.toLocal, rank, variant.sets, variant.subgraphOpt)
+    val local = g.toLocal
+    listLocal(local, Reorder.rank(local, variant.order), variant.sets, variant.subgraphOpt)
   }
 
   /** Driver-side listing against a precomputed rank — reference for tests. */

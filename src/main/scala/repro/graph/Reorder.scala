@@ -1,47 +1,127 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 
 /** Vertex reorderings — GMS pipeline stage 3 (preprocessing).
   *
-  * Every reordering returns a total order as a DataFrame `(v, rank)` with
-  * ranks a permutation of 0..n-1; kernels consume it as an `Array[Int]` via
-  * [[rankArray]]. Provided schemes (paper §6.1 / Table 4):
+  * Every order is computed on the collected CSR and returned as a rank
+  * array: `rank(v)` is v's position, and the ranks are a permutation of
+  * 0..n-1. [[rank]] is the one entry point the kernels use. Provided schemes
+  * (paper §6.1 / Table 4):
   *
-  *  - [[byId]] — identity (the "no preprocessing" baseline);
-  *  - [[byDegree]] — DEG: ascending degree (simple, parallel sort);
-  *  - [[degeneracy]] — DGR: exact degeneracy order via Matula-Beck
-  *    min-degree peeling (inherently sequential, O(n+m), driver-side — the
-  *    paper makes the same point: "default DGR is not easily parallelizable
-  *    and takes O(n) iterations even in a parallel setting");
-  *  - [[adg]] — ADG: the (2+ε)-approximate degeneracy order of Alg. 5,
-  *    O(log n) *batched* iterations, each a pure dataflow step — this is the
-  *    scheme whose parallel-friendliness the paper exploits.
+  *  - [[IdOrder]] — identity (the "no preprocessing" baseline);
+  *  - [[DegOrder]] — DEG: ascending degree, ties by vertex ID;
+  *  - [[DgrOrder]] — DGR: exact degeneracy order by batched peeling at the
+  *    current level. It needs up to O(n) rounds — the paper's point that
+  *    "default DGR is not easily parallelizable and takes O(n) iterations
+  *    even in a parallel setting";
+  *  - [[AdgOrder]] — ADG: the (2+ε)-approximate degeneracy order of Alg. 5,
+  *    O(log n) batched rounds — the scheme whose parallel-friendliness the
+  *    paper exploits.
+  *
+  * [[degeneracyLocal]] (Matula-Beck min-degree peeling) is the exact
+  * sequential reference and also yields coreness.
   */
 object Reorder {
 
-  /** Identity order. */
-  def byId(g: SparkGraph): DataFrame = {
-    import g.spark.implicits._
-    g.vertices.select($"v", $"v" as "rank")
+  /** Vertex-order choices for preprocessing. */
+  sealed trait Order { def name: String }
+  case object IdOrder  extends Order { val name = "ID"  }
+  case object DegOrder extends Order { val name = "DEG" }
+
+  /** An order computed by a batched peel ([[peel]]); the case is its rule. */
+  sealed trait PeelOrder extends Order
+  /** Exact DGR: remove every vertex of degree ≤ the current level, raising
+    * the level to the minimum live degree once it is exhausted.
+    */
+  case object DgrOrder extends PeelOrder { val name = "DGR" }
+  /** ADG (Alg. 5): remove every vertex of degree ≤ (1+ε) × the live average. */
+  final case class AdgOrder(eps: Double = 0.1) extends PeelOrder {
+    require(eps >= 0, s"ADG needs ε ≥ 0, got $eps")
+    val name = "ADG"
   }
 
-  /** DEG: ascending degree, ties by vertex ID. */
-  def byDegree(g: SparkGraph): DataFrame = {
-    import g.spark.implicits._
-    g.degreesAll.select($"v",
-      (row_number().over(Window.orderBy($"degree", $"v")) - 1) as "rank")
+  /** rank(v) for `order` on the CSR. */
+  def rank(local: LocalGraph, order: Order): Array[Int] = order match {
+    case IdOrder      => Array.range(0, local.n)
+    case DegOrder     => rankBy(Array.tabulate(local.n)(local.degree(_).toLong))
+    case p: PeelOrder => peel(local, p)._1
   }
 
-  /** Descending per-vertex triangle count ("triangle count ranking", Table 4). */
+  /** Batched peeling on the CSR: each round removes every live vertex whose
+    * degree among live vertices is at most the rule's threshold, then lowers
+    * its live neighbours' degrees. Removed vertices are ranked by round, and
+    * by vertex ID within a round. Returns (rank, rounds) — the rounds are
+    * the paper's O(log n) (ADG) vs O(n) (DGR) claim.
+    */
+  def peel(g: LocalGraph, rule: PeelOrder): (Array[Int], Int) = {
+    val n = g.n
+    val deg = Array.tabulate(n)(g.degree)
+    val live = Array.range(0, n) // live vertices, ascending, in live(0 until liveCount)
+    var liveCount = n
+    val removed = new Array[Boolean](n)
+    val order = new Array[Int](n) // order(r) = the vertex of rank r
+    val rank = new Array[Int](n)
+    var ranked = 0
+    var level = 0
+    var rounds = 0
+    while (liveCount > 0) {
+      var sum = 0L
+      var min = Int.MaxValue
+      var i = 0
+      while (i < liveCount) { val d = deg(live(i)); sum += d; if (d < min) min = d; i += 1 }
+      val threshold = rule match {
+        case AdgOrder(eps) => (1.0 + eps) * (sum.toDouble / liveCount)
+        case DgrOrder      => level = math.max(level, min); level.toDouble
+      }
+      val first = ranked
+      var kept = 0
+      i = 0
+      while (i < liveCount) {
+        val v = live(i)
+        if (deg(v) <= threshold) {
+          removed(v) = true; order(ranked) = v; rank(v) = ranked; ranked += 1
+        } else { live(kept) = v; kept += 1 }
+        i += 1
+      }
+      liveCount = kept
+      var r = first
+      while (r < ranked) {
+        val v = order(r)
+        var j = g.offsets(v)
+        while (j < g.offsets(v + 1)) { val w = g.adj(j); if (!removed(w)) deg(w) -= 1; j += 1 }
+        r += 1
+      }
+      rounds += 1
+    }
+    (rank, rounds)
+  }
+
+  /** Ranks ascending by `key`, ties by vertex ID. */
+  private def rankBy(key: Array[Long]): Array[Int] = {
+    val n = key.length
+    val byKey = Array.range(0, n).sortBy(v => (key(v), v))
+    val rank = new Array[Int](n)
+    var i = 0
+    while (i < n) { rank(byKey(i)) = i; i += 1 }
+    rank
+  }
+
+  /** A rank array as a `(v, rank)` DataFrame. */
+  private def toDataFrame(spark: SparkSession, rank: Array[Int]): DataFrame = {
+    import spark.implicits._
+    spark.createDataset(rank.indices.map(v => (v, rank(v)))).toDF("v", "rank")
+  }
+
+  /** Descending per-vertex triangle count ("triangle count ranking", Table 4),
+    * ties by vertex ID; `triPerVertex` is `(v, triangles)`.
+    */
   def byTriangleCount(g: SparkGraph, triPerVertex: DataFrame): DataFrame = {
-    import g.spark.implicits._
-    g.vertices
-      .join(triPerVertex, Seq("v"), "left")
-      .select($"v", coalesce($"triangles", lit(0L)) as "t")
-      .select($"v", (row_number().over(Window.orderBy($"t".desc, $"v")) - 1) as "rank")
+    val negTri = new Array[Long](g.n)
+    triPerVertex.select(col("v").cast("int"), col("triangles").cast("long")).collect()
+      .foreach(r => negTri(r.getInt(0)) = -r.getLong(1))
+    toDataFrame(g.spark, rankBy(negTri))
   }
 
   /** Exact degeneracy order + coreness, driver-side Matula-Beck peeling.
@@ -99,105 +179,18 @@ object Reorder {
     (rank, coreness, degeneracy)
   }
 
-  /** DGR as a DataFrame order (driver-side peeling, lifted back). */
-  def degeneracy(g: SparkGraph): DataFrame = {
-    import g.spark.implicits._
-    val (rank, _, _) = degeneracyLocal(g.toLocal)
-    g.spark.createDataset(rank.zipWithIndex.map { case (r, v) => (v, r) }.toIndexedSeq)
-      .toDF("v", "rank")
-  }
-
-  /** Shared engine for batched-peeling reorderings: each round computes the
-    * induced degrees of the unassigned vertex set U as a dataflow aggregation
-    * over the shrinking (symmetric) edge set, a driver-side rule picks this
-    * round's removal threshold from the degree summary, the removed batch is
-    * recorded, and the edge set is filtered for the next round. Per-round
-    * cost is two Spark jobs (degree aggregation + edge-filter checkpoint).
-    *
-    * The degree *summary* (one row per live vertex) is collected to the
-    * driver for thresholding — the standard structure of iterative Spark
-    * graph algorithms; the O(m)-sized work (degree counting, edge filtering)
-    * stays distributed.
-    *
-    * @param threshold given (liveDegrees, currentLevel) returns (maxDegree
-    *                  removed this round, nextLevel carried to next round)
-    */
-  private def peel(g: SparkGraph,
-                   threshold: (Array[Long], Long) => (Double, Long)): PeelResult = {
-    val spark = g.spark
-    import spark.implicits._
-    // Peeling rounds are scheduler-latency-bound, not data-bound: run them
-    // on few partitions (restored afterwards).
-    val oldShuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    var remaining = g.edges.coalesce(8).localCheckpoint()
-    var u: Set[Int] = (0 until g.n).toSet
-    val batchOf = new Array[Int](g.n)
-    var batch = 0
-    var level = 0L
-    try while (u.nonEmpty) {
-      val degMap: Map[Int, Long] =
-        remaining.groupBy($"src").agg(count(lit(1)) as "deg")
-          .as[(Int, Long)].collect().toMap
-      val degs = u.iterator.map(v => degMap.getOrElse(v, 0L)).toArray
-      val (thr, nextLevel) = threshold(degs, level)
-      level = nextLevel
-      val removed = u.filter(v => degMap.getOrElse(v, 0L) <= thr)
-      removed.foreach(v => batchOf(v) = batch)
-      u = u -- removed
-      if (u.nonEmpty) {
-        // The removed batch is small — broadcast anti-joins avoid reshuffling
-        // the edge set every round; lineage is truncated every few rounds
-        // (localCheckpoint is an extra job, so it is amortised).
-        val gone = broadcast(spark.createDataset(removed.toSeq).toDF("v"))
-        remaining = remaining
-          .join(gone.withColumnRenamed("v", "src"), Seq("src"), "left_anti")
-          .join(gone.withColumnRenamed("v", "dst"), Seq("dst"), "left_anti")
-          .select($"src", $"dst")
-        if (batch % 8 == 7) remaining = remaining.localCheckpoint()
-      }
-      batch += 1
-    } finally spark.conf.set("spark.sql.shuffle.partitions", oldShuffle)
-    // Total order: batch first, vertex ID as the in-batch tie-break.
-    val order = spark.createDataset(
-        (0 until g.n).map(v => (v, batchOf(v))))
-      .toDF("v", "batch")
-      .select($"v", (row_number().over(Window.orderBy($"batch", $"v")) - 1) as "rank")
-    PeelResult(order, batch)
-  }
-
-  /** ADG (Alg. 5): batch-remove all vertices whose induced degree is ≤
-    * (1+ε) × the current average degree. O(log n) rounds for any ε > 0 —
-    * the parallel-friendliness the paper exploits. Yields a (2+ε)-approximate
-    * degeneracy order.
-    */
-  def adg(g: SparkGraph, eps: Double = 0.1): PeelResult =
-    peel(g, (degs, lvl) => {
-      val avg = degs.sum.toDouble / degs.length
-      ((1.0 + eps) * avg, lvl)
-    })
-
-  /** DGR at the dataflow level: exact parallel peeling — remove all vertices
-    * of induced degree ≤ k, raising k to the current minimum degree when the
-    * level is exhausted. An exact degeneracy order (every vertex has ≤ d
-    * later neighbors) and exact coreness levels, but — the paper's point —
-    * it needs up to O(n) rounds (e.g., grids peel one boundary layer per
-    * round), where ADG needs O(log n).
-    */
-  def degeneracyPar(g: SparkGraph): PeelResult =
-    peel(g, (degs, lvl) => {
-      val mn = degs.min
-      val k = math.max(lvl, mn)
-      (k.toDouble, k)
-    })
-
-  /** A peeling order plus its round count — the O(log n) vs O(n) claim. */
+  /** A peeling order as a `(v, rank)` DataFrame plus its round count. */
   final case class PeelResult(order: DataFrame, iterations: Int)
 
-  /** Back-compat alias for [[PeelResult]] in ADG position. */
-  type AdgResult = PeelResult
+  /** ADG on a [[SparkGraph]]: collect the CSR, peel it, and lift the rank to
+    * a DataFrame. Kernels use [[rank]] on the CSR they already hold.
+    */
+  def adg(g: SparkGraph, eps: Double = 0.1): PeelResult = {
+    val (rank, rounds) = peel(g.toLocal, AdgOrder(eps))
+    PeelResult(toDataFrame(g.spark, rank), rounds)
+  }
 
-  /** Collect a (v, rank) DataFrame into rank(v) form for kernel broadcast. */
+  /** Collect a (v, rank) DataFrame into rank(v) form. */
   def rankArray(order: DataFrame, n: Int): Array[Int] = {
     val out = new Array[Int](n)
     order.select(col("v").cast("int"), col("rank").cast("int"))
@@ -209,8 +202,5 @@ object Reorder {
   /** Count later-ranked neighbors per vertex — the quantity the (2+ε)
     * guarantee bounds; used by tests and the reorder bench.
     */
-  def maxLaterDegree(g: LocalGraph, rank: Array[Int]): Int = {
-    val oriented = g.orient(rank)
-    oriented.maxDegree
-  }
+  def maxLaterDegree(g: LocalGraph, rank: Array[Int]): Int = g.orient(rank).maxDegree
 }

@@ -60,8 +60,8 @@ class KCliqueSpec extends SparkSpec {
   test("count is order-invariant (ID vs DEG vs DGR vs ADG)") {
     val local = GraphGen.erLocal(40, 0.3, 5)
     val g = SparkGraph.fromLocal(spark, local)
-    val counts = Seq(MaximalCliques.IdOrder, MaximalCliques.DegOrder,
-                     MaximalCliques.DgrOrder, MaximalCliques.AdgOrder(0.1)).map { o =>
+    val counts = Seq(Reorder.IdOrder, Reorder.DegOrder,
+                     Reorder.DgrOrder, Reorder.AdgOrder(0.1)).map { o =>
       KClique.run(g, 4, o).cliques
     }
     assert(counts.distinct.size == 1)
@@ -102,7 +102,7 @@ class KCliqueSpec extends SparkSpec {
 
   test("run() reports timing breakdown and throughput") {
     val g = SparkGraph.fromLocal(spark, GraphGen.erLocal(30, 0.3, 9))
-    val r = KClique.run(g, 3, MaximalCliques.AdgOrder(0.1))
+    val r = KClique.run(g, 3, Reorder.AdgOrder(0.1))
     assert(r.reorderSec > 0 && r.mineSec > 0)
     assert(r.throughput >= 0)
   }

@@ -38,32 +38,36 @@ class ReorderSpec extends SparkSpec {
     }
   }
 
-  test("byDegree ranks ascending by degree") {
-    val g = SparkGraph.fromLocal(spark, LocalGraph.star(6))
-    val rank = Reorder.rankArray(Reorder.byDegree(g), 6)
+  test("DEG ranks ascending by degree") {
+    val rank = Reorder.rank(LocalGraph.star(6), Reorder.DegOrder)
     assert(isPermutation(rank))
     assert(rank(0) == 5) // hub has the largest degree ⇒ last
   }
 
-  test("byId is the identity") {
-    val g = SparkGraph.fromLocal(spark, LocalGraph.cycle(5))
-    assert(Reorder.rankArray(Reorder.byId(g), 5).toSeq == (0 until 5))
+  test("DEG breaks degree ties by vertex ID: on a cycle it is the identity") {
+    assert(Reorder.rank(LocalGraph.cycle(7), Reorder.DegOrder).toSeq == (0 until 7))
   }
 
-  test("degeneracy (dataflow wrapper) equals the local order") {
-    val local = GraphGen.erLocal(40, 0.2, 4)
+  test("ID is the identity") {
+    assert(Reorder.rank(LocalGraph.cycle(5), Reorder.IdOrder).toSeq == (0 until 5))
+  }
+
+  test("adg on a SparkGraph gives the CSR peel's rank and round count") {
+    val local = GraphGen.erLocal(120, 0.08, 5)
     val g = SparkGraph.fromLocal(spark, local)
-    val viaDf = Reorder.rankArray(Reorder.degeneracy(g), 40)
-    val (direct, _, _) = Reorder.degeneracyLocal(g.toLocal)
-    assert(viaDf.toSeq == direct.toSeq)
+    for (eps <- Seq(0.5, 0.1, 0.01)) {
+      val res = Reorder.adg(g, eps)
+      val (rank, rounds) = Reorder.peel(g.toLocal, Reorder.AdgOrder(eps))
+      assert(Reorder.rankArray(res.order, 120).toSeq == rank.toSeq, s"ε=$eps")
+      assert(Reorder.rank(g.toLocal, Reorder.AdgOrder(eps)).toSeq == rank.toSeq, s"ε=$eps")
+      assert(res.iterations == rounds, s"ε=$eps")
+    }
   }
 
   for (eps <- Seq(0.5, 0.1, 0.01)) {
     test(s"ADG(ε=$eps) is a permutation honoring the (2+ε)·d guarantee") {
       val local = GraphGen.erLocal(120, 0.08, 5)
-      val g = SparkGraph.fromLocal(spark, local)
-      val res = Reorder.adg(g, eps)
-      val rank = Reorder.rankArray(res.order, 120)
+      val rank = Reorder.rank(local, Reorder.AdgOrder(eps))
       assert(isPermutation(rank))
       val d = KCore.degeneracy(local)
       assert(Reorder.maxLaterDegree(local, rank) <= math.ceil((2 + eps) * d).toInt + 1,
@@ -71,12 +75,10 @@ class ReorderSpec extends SparkSpec {
     }
   }
 
-  test("degeneracyPar is an exact degeneracy order (≤ d later neighbors)") {
+  test("DGR is an exact degeneracy order (≤ d later neighbors)") {
     for (seed <- 1 to 3) {
       val local = GraphGen.erLocal(80, 0.1, seed + 200)
-      val g = SparkGraph.fromLocal(spark, local)
-      val res = Reorder.degeneracyPar(g)
-      val rank = Reorder.rankArray(res.order, 80)
+      val rank = Reorder.rank(local, Reorder.DgrOrder)
       assert(isPermutation(rank))
       val d = KCore.degeneracy(local)
       assert(Reorder.maxLaterDegree(local, rank) <= d,
@@ -84,32 +86,35 @@ class ReorderSpec extends SparkSpec {
     }
   }
 
-  test("degeneracyPar peels a grid layer by layer (many rounds — the O(n) point)") {
-    val g = GraphGen.grid(spark, 12, 12)
-    val res = Reorder.degeneracyPar(g)
-    val adgRounds = Reorder.adg(g, 0.1).iterations
-    assert(res.iterations > adgRounds,
-      s"DGR-P rounds ${res.iterations} should exceed ADG rounds $adgRounds on grids")
+  test("DGR peels a grid layer by layer (many rounds — the O(n) point)") {
+    val g = GraphGen.grid(spark, 12, 12).toLocal
+    val (_, dgrRounds) = Reorder.peel(g, Reorder.DgrOrder)
+    val (_, adgRounds) = Reorder.peel(g, Reorder.AdgOrder(0.1))
+    assert(dgrRounds > adgRounds,
+      s"DGR rounds $dgrRounds should exceed ADG rounds $adgRounds on grids")
   }
 
   test("ADG finishes in O(log n)-ish batches") {
-    val g = GraphGen.er(spark, 500, 2500, seed = 6)
-    val res = Reorder.adg(g, 0.1)
-    assert(res.iterations <= 40, s"took ${res.iterations} batches")
-    assert(isPermutation(Reorder.rankArray(res.order, 500)))
+    val g = GraphGen.er(spark, 500, 2500, seed = 6).toLocal
+    val (rank, rounds) = Reorder.peel(g, Reorder.AdgOrder(0.1))
+    assert(rounds <= 40, s"took $rounds batches")
+    assert(isPermutation(rank))
   }
 
   test("ADG on a graph with isolated vertices still ranks everyone") {
     val df = spark.createDataFrame(Seq((0, 1), (1, 2))).toDF("src", "dst")
     val g = SparkGraph.fromEdgeList(spark, df, 6)
-    val rank = Reorder.rankArray(Reorder.adg(g, 0.1).order, 6)
+    val rank = Reorder.rank(g.toLocal, Reorder.AdgOrder(0.1))
     assert(isPermutation(rank))
   }
 
   test("ADG on a clique assigns everything in one batch") {
-    val g = GraphGen.complete(spark, 8)
-    val res = Reorder.adg(g, 0.1)
-    assert(res.iterations == 1) // all degrees equal the average
+    val (_, rounds) = Reorder.peel(LocalGraph.complete(8), Reorder.AdgOrder(0.1))
+    assert(rounds == 1) // all degrees equal the average
+  }
+
+  test("ADG rejects ε < 0, which would peel nothing on a regular graph") {
+    intercept[IllegalArgumentException](Reorder.AdgOrder(-0.5))
   }
 
   test("byTriangleCount puts triangle-rich vertices first") {
