@@ -86,12 +86,7 @@ object KClique {
         }
       case EdgeParallel =>
         SeedRunner.run(spark.sparkContext, sg, oriented.adj.length, tasks) { (sg, arcs) =>
-          val offsets = sg.graph.offsets
-          var u = 0
-          arcs.map { a =>
-            while (offsets(u + 1) <= a) u += 1 // arcs ascend, so their sources do
-            countFromEdge(sg, k, u, sg.graph.adj(a))
-          }.sum
+          SeedRunner.sumArcs(sg.graph, arcs)(countFromEdge(sg, k, _, _))
         }
     }
     partials.sum

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
+import repro.graph.LocalGraph
 import scala.reflect.ClassTag
 
 /** The Spark half of every seed-parallel kernel: the distributed-dataflow
@@ -9,7 +10,7 @@ import scala.reflect.ClassTag
   * level (§6.2-6.3).
   *
   * The kernel's data is broadcast once; task `t` of `T` then runs units
-  * `t, t+T, t+2T, …` (seed vertices, or arcs of an oriented CSR) and returns
+  * `t, t+T, t+2T, …` (seed vertices, or arcs of a CSR) and returns
   * one partial result, collected in task order. There is no shuffle: a task
   * is an index, and the units are strided so that runs of heavy neighboring
   * seeds spread over all tasks.
@@ -32,4 +33,16 @@ object SeedRunner {
         .map(t => task(bc.value, Iterator.range(t, units, nTasks)))
         .collect()
     } finally bc.destroy()
+
+  /** Σ `f(u, v)` over the arcs of `g`'s CSR whose indices `arcs` yields in
+    * ascending order (a task's units when they are arcs); `u`, the source,
+    * is found by one forward walk over the offsets.
+    */
+  def sumArcs(g: LocalGraph, arcs: Iterator[Int])(f: (Int, Int) => Long): Long = {
+    var u = 0
+    arcs.map { a =>
+      while (g.offsets(u + 1) <= a) u += 1
+      f(u, g.adj(a))
+    }.sum
+  }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
-import repro.graph.{LocalGraph, SparkGraph}
+import repro.graph.{LocalGraph, SetGraph, SparkGraph}
 import repro.setalg.{SetFactory, VertexSet}
 
 /** Subgraph isomorphism (paper §6.4): VF2/VF3-light-style recursive
@@ -12,18 +11,21 @@ import repro.setalg.{SetFactory, VertexSet}
   * vertex are ∩ over its already-mapped query neighbors p of N_G(φ(p)),
   * filtered by label / degree / injectivity (and non-edges for induced).
   *
-  * Parallel variants mirror the paper's optimizations:
-  *  - [[Base]]       — node-parallel static split of the root candidates into
-  *                     as many chunks as cores (the VF3-light parallel baseline);
-  *  - [[WorkSplit]]  — split work at recursion depth 2: tasks are
-  *                     (root, second) mapping pairs, a much finer unit;
+  * Parallel variants mirror the paper's optimizations. All run on
+  * [[SeedRunner]] over T tasks (the Fig.-7 thread axis); a unit is a target
+  * vertex as φ(q₀), or an arc (φ(q₀), φ(q₁)) of the target CSR:
+  *  - [[Base]]       — vertex units, statically split: task t gets the
+  *                     contiguous chunk [t·U/T, (t+1)·U/T) of the U units
+  *                     (the VF3-light parallel baseline, load imbalance included);
+  *  - [[WorkSplit]]  — split work at recursion depth 2: arc units, a much
+  *                     finer grain, in the same static chunks;
   *  - [[WorkSteal]]  — the paper's lock-free stealing queue emulated by
-  *                     over-decomposition (32× more tasks than cores,
-  *                     scheduler-balanced; same effect, no shared queue
-  *                     exists across Spark executors);
-  *  - [[Precompute]] — per-query-vertex candidate sets prefiltered by
-  *                     (label, degree, neighbor-degree sum) broadcast ahead
-  *                     of the search (the paper's "precompute scheme").
+  *                     placement: arc units strided over the tasks
+  *                     (t, t+T, …), the balance a stealing queue converges
+  *                     to (no shared queue exists across Spark executors);
+  *  - [[Precompute]] — WorkSteal plus per-query-vertex candidate sets
+  *                     prefiltered by (label, degree, neighbor-degree sum)
+  *                     ahead of the search (the paper's "precompute scheme").
   */
 object SubgraphIso {
 
@@ -67,40 +69,42 @@ object SubgraphIso {
 
   /** Count embeddings extending a fixed prefix of the search order.
     *
-    * @param prefix mapped target vertices for searchOrder positions 0..prefix.length-1
+    * The candidates for query vertex q are ∩ N(φ(p)) over the query
+    * neighbors p of q mapped before it, read from `sg` without copying when
+    * there is one. A q with none (the root, or a new component of a
+    * disconnected query) scans `cand(q)`, or every target vertex.
+    *
+    * @param prefix mapped target vertices for searchOrder positions 0..prefix.length-1;
+    *               a two-vertex prefix must be an edge of the target
     */
-  private[core] def countFrom(g: LocalGraph, gLabels: Array[Int], p: Pattern,
+  private[core] def countFrom(sg: SetGraph, gLabels: Array[Int], p: Pattern,
                               order: Array[Int], induced: Boolean,
-                              factory: SetFactory,
                               cand: Array[VertexSet],   // null ⇒ no precompute
                               prefix: Array[Int]): Long = {
+    val g = sg.graph
     val h = p.graph
     val qn = h.n
+    // For each position: the query vertices earlier in the order that are
+    // neighbors of order(pos), and those that are not.
+    val earlier = Array.tabulate(qn)(pos => order.take(pos).partition(h.hasEdge(order(pos), _)))
     val mapping = Array.fill(qn)(-1)
     val used = new Array[Boolean](g.n)
     var count = 0L
 
+    // Adjacency to every mapped query neighbor is not checked here: the
+    // candidates already lie in all their neighborhoods.
     def feasible(q: Int, v: Int, pos: Int): Boolean = {
       if (used(v)) return false
       if (gLabels(v) != p.labels(q)) return false
       if (g.degree(v) < h.degree(q)) return false
       // Precomputed candidate filter: O(log) membership, no set materialisation.
       if (cand != null && !cand(q).contains(v)) return false
-      // All mapped query neighbors must map to target neighbors of v ...
-      val hn = h.neighbors(q)
-      var i = 0
-      while (i < hn.length) {
-        val m = mapping(hn(i))
-        if (m >= 0 && !g.hasEdge(v, m)) return false
-        i += 1
-      }
-      // ... and for induced matching, mapped non-neighbors must stay non-edges.
+      // For induced matching, mapped non-neighbors must stay non-edges.
       if (induced) {
+        val nonNbrs = earlier(pos)._2
         var j = 0
-        while (j < pos) {
-          val q2 = order(j)
-          val m2 = mapping(q2)
-          if (!h.hasEdge(q, q2) && g.hasEdge(v, m2)) return false
+        while (j < nonNbrs.length) {
+          if (g.hasEdge(v, mapping(nonNbrs(j)))) return false
           j += 1
         }
       }
@@ -110,23 +114,16 @@ object SubgraphIso {
     def rec(pos: Int): Unit = {
       if (pos == qn) { count += 1; return }
       val q = order(pos)
-      // Set-algebra candidate generation: intersect target neighborhoods of
-      // the already-mapped query neighbors of q.
-      val mappedNbrs = h.neighbors(q).filter(mapping(_) >= 0)
-      val candidates: VertexSet =
-        if (mappedNbrs.isEmpty) {
-          if (cand != null) cand(q)
-          else factory.fromSorted(Array.range(0, g.n), g.n)
+      val nbrs = earlier(pos)._1
+      val it: Iterator[Int] =
+        if (nbrs.isEmpty) {
+          if (cand != null) cand(q).iterator else Iterator.range(0, g.n)
         } else {
-          val s = factory.fromSorted(g.neighbors(mapping(mappedNbrs.head)), g.n)
+          var s = sg.neighbors(mapping(nbrs(0)))
           var i = 1
-          while (i < mappedNbrs.length) {
-            s.intersectInplace(factory.fromSorted(g.neighbors(mapping(mappedNbrs(i))), g.n))
-            i += 1
-          }
-          s
+          while (i < nbrs.length) { s = s.intersect(sg.neighbors(mapping(nbrs(i)))); i += 1 }
+          s.iterator
         }
-      val it = candidates.iterator
       while (it.hasNext) {
         val v = it.next()
         if (feasible(q, v, pos)) {
@@ -137,7 +134,7 @@ object SubgraphIso {
       }
     }
 
-    // Install the prefix (verifying feasibility so invalid tasks yield 0).
+    // Install the prefix (verifying feasibility so invalid units yield 0).
     var ok = true
     var i = 0
     while (ok && i < prefix.length) {
@@ -150,77 +147,63 @@ object SubgraphIso {
     count
   }
 
+  /** Σ of neighbor degrees per vertex, in O(n + m). */
+  private def nbrDegSums(gr: LocalGraph): Array[Long] = {
+    val out = new Array[Long](gr.n)
+    var v = 0
+    while (v < gr.n) {
+      var i = gr.offsets(v)
+      while (i < gr.offsets(v + 1)) { out(v) += gr.degree(gr.adj(i)); i += 1 }
+      v += 1
+    }
+    out
+  }
+
   /** Precomputed candidate set per query vertex: same label, sufficient
     * degree, and sufficient neighbor-degree sum (a cheap VF3-style invariant).
     */
   private def precomputeCandidates(g: LocalGraph, gLabels: Array[Int],
                                    p: Pattern, factory: SetFactory): Array[VertexSet] = {
     val h = p.graph
-    def nbrDegSum(gr: LocalGraph, v: Int): Long = gr.neighbors(v).map(gr.degree(_).toLong).sum
-    val hSig = Array.tabulate(h.n)(q => nbrDegSum(h, q))
+    val gSig = nbrDegSums(g)
+    val hSig = nbrDegSums(h)
     Array.tabulate(h.n) { q =>
-      val cands = (0 until g.n).filter { v =>
-        gLabels(v) == p.labels(q) && g.degree(v) >= h.degree(q) && nbrDegSum(g, v) >= hSig(q)
-      }.toArray
-      factory.fromSorted(cands, g.n)
+      val cands = new scala.collection.mutable.ArrayBuilder.ofInt
+      var v = 0
+      while (v < g.n) {
+        if (gLabels(v) == p.labels(q) && g.degree(v) >= h.degree(q) && gSig(v) >= hSig(q)) cands += v
+        v += 1
+      }
+      factory.fromSorted(cands.result(), g.n)
     }
   }
 
-  /** Distributed embedding count.
-    *
-    * @param tasks caps parallel tasks (0 ⇒ variant-specific default); used by
-    *              the Fig.-7 thread-scaling sweep.
+  /** Distributed embedding count over T tasks, T = `tasks` if positive,
+    * else the default parallelism. Queries whose q₁ is not adjacent to q₀
+    * use vertex units under every variant. An isolated target vertex has no
+    * arc, and could not map a q₀ of degree ≥ 1 anyway.
     */
   def count(g: SparkGraph, gLabels: Array[Int], pattern: Pattern,
             induced: Boolean, variant: Variant = WorkSteal,
             factory: SetFactory = SetFactory.sorted, tasks: Int = 0): Long = {
-    val spark = g.spark
-    import spark.implicits._
+    require(gLabels.length == g.n, s"${gLabels.length} labels for ${g.n} target vertices")
+    val sc = g.spark.sparkContext
     val local = g.toLocal
     val order = searchOrder(pattern.graph)
     val cand = if (variant == Precompute) precomputeCandidates(local, gLabels, pattern, factory) else null
-    val cores = spark.sparkContext.defaultParallelism
-    // `tasks` is the emulated thread count: work runs in exactly this many
-    // partitions (the Fig.-7 scaling axis). Variants differ in the *units*
-    // (coarse roots vs depth-2 pairs) and their *placement* (contiguous =
-    // static split with its load imbalance; round-robin = the balanced
-    // placement a work-stealing queue converges to).
-    val nTasks = if (tasks > 0) tasks else cores
-
-    val roots = (0 until local.n).map(v => Array(v))
-    val canSplit = pattern.graph.n >= 2 && pattern.graph.hasEdge(order(0), order(1))
-    val units: Seq[Array[Int]] = variant match {
-      case WorkSplit | WorkSteal | Precompute if canSplit =>
-        // Depth-2 split: (root, second) pairs; valid because the search order
-        // makes q1 adjacent to q0, so φ(q1) must be a target neighbor of root.
-        roots.flatMap { pre =>
-          val nb = local.neighbors(pre(0))
-          if (nb.isEmpty) Seq(pre) else nb.map(s => Array(pre(0), s))
-        }
-      case _ => roots
-    }
-    val withIdx = units.zipWithIndex.map { case (u, i) => (i.toLong, u.toSeq) }
-    val bcG = spark.sparkContext.broadcast(local)
-    val bcL = spark.sparkContext.broadcast(gLabels)
-    val bcP = spark.sparkContext.broadcast(pattern)
-    val bcC = spark.sparkContext.broadcast(cand)
-    try {
-      val ds = spark.createDataset(withIdx)
-      val placed = variant match {
-        case Base | WorkSplit =>
-          // Static contiguous split of the unit list.
-          ds.repartitionByRange(nTasks, col("_1"))
-        case WorkSteal | Precompute =>
-          // Balanced round-robin placement (stealing emulation).
-          ds.repartition(nTasks)
-      }
-      placed
-        .map { case (_, pre) =>
-          countFrom(bcG.value, bcL.value, bcP.value, order, induced,
-                    factory, bcC.value, pre.toArray)
-        }
-        .reduce(_ + _)
-    } finally { bcG.destroy(); bcL.destroy(); bcP.destroy(); bcC.destroy() }
+    val nTasks = if (tasks > 0) tasks else sc.defaultParallelism
+    val byArc = variant != Base && pattern.graph.n >= 2 && pattern.graph.hasEdge(order(0), order(1))
+    val nUnits = if (byArc) local.adj.length else local.n
+    val static = variant == Base || variant == WorkSplit
+    def chunk(t: Int): Int = (t.toLong * nUnits / nTasks).toInt
+    val data = (new SetGraph(local, factory), gLabels, pattern, cand)
+    SeedRunner.run(sc, data, if (static) nTasks else nUnits, nTasks) {
+      case ((sg, labels, p, cand), mine) =>
+        val units = if (static) mine.flatMap(t => Iterator.range(chunk(t), chunk(t + 1))) else mine
+        if (byArc) SeedRunner.sumArcs(sg.graph, units)((u, v) =>
+          countFrom(sg, labels, p, order, induced, cand, Array(u, v)))
+        else units.map(v => countFrom(sg, labels, p, order, induced, cand, Array(v))).sum
+    }.sum
   }
 
   /** Driver-side brute-force reference (all injective label-respecting

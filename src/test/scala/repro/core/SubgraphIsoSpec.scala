@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.graph.{GraphGen, LocalGraph, SparkGraph}
+import repro.setalg.SetFactory
 
 class SubgraphIsoSpec extends SparkSpec {
 
@@ -119,5 +120,40 @@ class SubgraphIsoSpec extends SparkSpec {
       assert(SubgraphIso.count(g, unl(40), p, induced = false,
                                SubgraphIso.WorkSteal, tasks = t) == want)
     }
+  }
+
+  // ER(12, 0.4) spread over n = 16: vertices 6, 7, 14 and 15 are isolated, so
+  // the arc walk must step over empty rows and isolated roots get no unit;
+  // 64 tasks outnumber both the 16 vertex and the 44 arc units.
+  private val isoTarget = {
+    def spread(v: Int) = if (v < 6) v else v + 2
+    LocalGraph.fromEdges(16, GraphGen.erLocal(12, 0.4, 41).edgeList.map { case (u, v) => (spread(u), spread(v)) })
+  }
+  // Vertex 0 has q₀'s label and vertex 1 does not, so an arc walk that
+  // credits vertex 0's arcs to another source changes the count.
+  private val isoLabels = Array.tabulate(16)(_ % 2)
+  private val pawQuery = SubgraphIso.Pattern( // triangle 0-1-2 plus pendant 3 on 2
+    LocalGraph.fromEdges(4, Seq((0, 1), (1, 2), (0, 2), (2, 3))), Array(0, 1, 0, 1))
+
+  for (f <- SetFactory.all) {
+    test(s"${f.name}: every variant × tasks ∈ {1, 3, 64} matches brute force on a target with isolated vertices") {
+      val g = SparkGraph.fromLocal(spark, isoTarget)
+      for (induced <- Seq(false, true)) {
+        val want = SubgraphIso.bruteForce(isoTarget, isoLabels, pawQuery, induced)
+        assert(want > 0, s"induced=$induced")
+        for (v <- SubgraphIso.allVariants; tasks <- Seq(1, 3, 64)) {
+          assert(SubgraphIso.count(g, isoLabels, pawQuery, induced, v, f, tasks) == want,
+                 s"variant=${v.name} tasks=$tasks induced=$induced")
+        }
+      }
+    }
+  }
+
+  test("labels shorter than the target are rejected on the driver") {
+    val g = SparkGraph.fromLocal(spark, LocalGraph.path(4))
+    val e = intercept[IllegalArgumentException] {
+      SubgraphIso.count(g, Array(0, 0, 0), path3, induced = false)
+    }
+    assert(e.getMessage.contains("3 labels for 4 target vertices"))
   }
 }
