@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.SubgraphIso
-import repro.graph.{GraphGen, SparkGraph}
+import repro.graph.GraphGen
 import repro.metrics.Metrics
 
 /** Fig. 7 — subgraph isomorphism: the four GMS variants (static split,
@@ -16,7 +16,6 @@ class SiBench extends SparkSpec {
     val rnd = new scala.util.Random(95)
     val target = GraphGen.erLocal(n = 1600, p = 0.02, seed = 95)
     val labels = Array.fill(target.n)(rnd.nextInt(3))
-    val g = SparkGraph.fromLocal(spark, target)
     // Query = a random connected induced subgraph of the target (BFS sample),
     // labels inherited — guarantees the query occurs, as with the paper's
     // query workload extracted from the target distribution.
@@ -39,7 +38,7 @@ class SiBench extends SparkSpec {
     val pat = SubgraphIso.Pattern(qGraph, qIds.map(labels))
 
     // JIT / Spark warm-up so the first measured cell is not inflated.
-    SubgraphIso.count(g, labels, pat, induced = false, SubgraphIso.WorkSteal, tasks = 16)
+    SubgraphIso.countLocal(spark, target, labels, pat, induced = false, SubgraphIso.WorkSteal, tasks = 16)
 
     var expect = -1L
     val rows = for {
@@ -47,7 +46,7 @@ class SiBench extends SparkSpec {
       threads <- Seq(1, 4, 16)
     } yield {
       val (c, t) = Metrics.timed(
-        SubgraphIso.count(g, labels, pat, induced = false, v, tasks = threads))
+        SubgraphIso.countLocal(spark, target, labels, pat, induced = false, v, tasks = threads))
       if (expect < 0) expect = c
       assert(c == expect, s"${v.name}@$threads: $c != $expect")
       Seq(v.name, threads.toString, c.toString, Metrics.f2(t))

@@ -78,7 +78,6 @@ object SiJob {
     val target = GraphGen.erLocal(n = 1000, p = 0.02, seed = 5)
     val rnd = new scala.util.Random(9)
     val labels = Array.fill(target.n)(rnd.nextInt(4))
-    val g = SparkGraph.fromLocal(spark, target)
     // Query = a BFS-sampled induced subgraph of the target (labels inherited),
     // so embeddings are guaranteed to exist.
     val qVerts = {
@@ -96,7 +95,7 @@ object SiJob {
     val (qGraph, qIds) = target.inducedSubgraph(qVerts)
     val pat = SubgraphIso.Pattern(qGraph, qIds.map(labels))
     val rows = SubgraphIso.allVariants.map { v =>
-      val (c, t) = Metrics.timed(SubgraphIso.count(g, labels, pat, induced = false, v))
+      val (c, t) = Metrics.timed(SubgraphIso.countLocal(spark, target, labels, pat, induced = false, v))
       Seq(v.name, c.toString, Metrics.f2(t))
     }
     Metrics.printTable("Subgraph isomorphism variants",

@@ -3,14 +3,16 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.graph.{ConnectedComponents, SparkGraph}
+import repro.graph.{ConnectedComponents, LocalGraph, SparkGraph}
 
 /** Jarvis-Patrick clustering (paper §6.5 / Table 4): two adjacent vertices
   * land in the same cluster when each is among the other's `knn` most
   * similar neighbors *and* they share at least `minShared` neighbors.
   * Clusters are the connected components of the surviving edges —
   * single-level, and (via the shared-neighbor test) the paper's example of
-  * similarity-driven clustering. Pure dataflow end to end.
+  * similarity-driven clustering. The similarity, top-knn and mutual /
+  * shared-neighbor stages are dataflow; the surviving edges are collected
+  * into a CSR for [[ConnectedComponents]].
   */
 object JarvisPatrick {
 
@@ -38,9 +40,7 @@ object JarvisPatrick {
     val kept = mutual.join(cn, Seq("u", "v"), "left")
       .where(coalesce($"cn", lit(0L)) >= minShared)
       .select($"u", $"v")
-    val sym = kept.select($"u" as "src", $"v" as "dst")
-      .union(kept.select($"v" as "src", $"u" as "dst"))
-    ConnectedComponents.run(g.vertices, sym)
-      .select($"v", $"component" as "cluster")
+      .as[(Int, Int)].collect()
+    g.perVertex("cluster", ConnectedComponents.run(LocalGraph.fromEdges(g.n, kept)))
   }
 }

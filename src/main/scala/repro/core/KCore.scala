@@ -1,49 +1,22 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.graph.{LocalGraph, Reorder, SparkGraph}
 
 /** k-core decomposition (GMS §6.1 / Table 4 "Dense Subgraph Discovery").
   *
   * A k-core is a maximal subgraph whose vertices all have degree ≥ k inside
   * it (as in the peeling literature we keep the union of connected k-cores).
-  * [[kCore]] extracts one k-core as a dataflow fixpoint; [[corenessLocal]]
-  * gives every vertex's core number (exact, via Matula-Beck); [[corenessFromOrder]]
-  * derives cores from a degeneracy-style order the way the paper describes
-  * ("iterate over vertices in the DGR order, removing vertices with
-  * out-degree less than k").
+  * Everything here derives from the exact coreness that Matula-Beck
+  * min-degree peeling ([[Reorder.degeneracyLocal]]) computes on the CSR:
+  * v is in the k-core iff coreness(v) ≥ k.
   */
 object KCore {
 
-  /** Vertices of the k-core, by iterated DataFrame peeling: repeatedly drop
-    * every vertex with current induced degree < k until none is dropped.
-    * Converges in at most n rounds; in practice a handful.
-    */
+  /** Vertices `v` of the k-core: [[kCoreLocal]] on the collected CSR. */
   def kCore(g: SparkGraph, k: Int): DataFrame = {
-    val spark = g.spark
-    import spark.implicits._
-    var edges = g.edges
-    var verts = g.degreesAll.where($"degree" > 0).select($"v").cache()
-    var vCount = verts.count()
-    var changed = true
-    while (changed && vCount > 0) {
-      val keep = edges.groupBy($"src" as "v").agg(count("*") as "deg")
-        .where($"deg" >= k).select($"v").localCheckpoint()
-      val kc = keep.count()
-      if (kc == vCount) changed = false
-      else {
-        edges = edges
-          .join(keep.withColumnRenamed("v", "src"), Seq("src"))
-          .join(keep.withColumnRenamed("v", "dst"), Seq("dst"))
-          .select($"src", $"dst")
-          .localCheckpoint()
-        verts.unpersist()
-        verts = keep
-        vCount = kc
-      }
-    }
-    if (vCount == 0) spark.emptyDataset[Int].toDF("v") else verts
+    import g.spark.implicits._
+    kCoreLocal(g.toLocal, k).toSeq.toDF("v")
   }
 
   /** Exact coreness per vertex (driver-side peeling); degeneracy = max. */
@@ -57,13 +30,12 @@ object KCore {
     */
   def degeneracy(g: LocalGraph): Int = corenessLocal(g)._2
 
-  /** k-core membership from an elimination order, per the paper's recipe:
-    * orient edges by the order, then repeatedly remove vertices whose degree
-    * inside the remaining subgraph is < k. Local reference used to cross-check
-    * the dataflow [[kCore]].
+  /** k-core members in ascending ID order: `{v : degree(v) > 0 ∧
+    * coreness(v) ≥ k}`. The degree term only matters for k ≤ 0, where it
+    * leaves out isolated vertices.
     */
   def kCoreLocal(g: LocalGraph, k: Int): Array[Int] = {
     val (coreness, _) = corenessLocal(g)
-    (0 until g.n).filter(v => coreness(v) >= k).toArray
+    (0 until g.n).filter(v => g.degree(v) > 0 && coreness(v) >= k).toArray
   }
 }

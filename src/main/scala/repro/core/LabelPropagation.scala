@@ -1,42 +1,48 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.graph.SparkGraph
 
 /** Label-propagation community detection (paper Table 4, Raghavan et al.):
   * every vertex iteratively adopts the most frequent label among its
   * neighbors (ties → smallest label), synchronously, until stable or
-  * `maxIter`. The paper's example of convergence-based, non-overlapping
-  * community detection; pure dataflow.
+  * `maxIter` rounds. A vertex without neighbors keeps its label. The paper's
+  * example of convergence-based, non-overlapping community detection; runs
+  * on the collected CSR.
   */
 object LabelPropagation {
 
   /** (v, community) after propagation. */
   def run(g: SparkGraph, maxIter: Int = 20): DataFrame = {
-    import g.spark.implicits._
-    var labels = g.vertices.select($"v", $"v" as "label").localCheckpoint()
+    val local = g.toLocal
+    var label = Array.range(0, local.n)
+    var next = new Array[Int](local.n)
+    val freq = new Array[Int](local.n) // freq(l) = neighbors of v labelled l; zero between vertices
     var iter = 0
-    var changed = 1L
-    while (iter < maxIter && changed > 0) {
-      val freq = g.edges
-        .join(labels.withColumnRenamed("v", "dst"), Seq("dst"))
-        .groupBy($"src" as "v", $"label")
-        .agg(count("*") as "f")
-      val best = freq
-        .withColumn("rk", row_number().over(
-          Window.partitionBy($"v").orderBy($"f".desc, $"label")))
-        .where($"rk" === 1)
-        .select($"v", $"label" as "newLabel")
-      val next = labels.join(best, Seq("v"), "left")
-        .select($"v", coalesce($"newLabel", $"label") as "label")
-        .localCheckpoint()
-      changed = next.as("n").join(labels.as("o"), Seq("v"))
-        .where(col("n.label") =!= col("o.label")).count()
-      labels = next
+    var changed = true
+    while (iter < maxIter && changed) {
+      changed = false
+      var v = 0
+      while (v < local.n) {
+        val lo = local.offsets(v); val hi = local.offsets(v + 1)
+        var best = label(v)
+        var bestFreq = 0
+        var i = lo
+        while (i < hi) {
+          val l = label(local.adj(i))
+          freq(l) += 1
+          if (freq(l) > bestFreq || (freq(l) == bestFreq && l < best)) { best = l; bestFreq = freq(l) }
+          i += 1
+        }
+        i = lo
+        while (i < hi) { freq(label(local.adj(i))) = 0; i += 1 }
+        next(v) = best
+        if (best != label(v)) changed = true
+        v += 1
+      }
+      val t = label; label = next; next = t
       iter += 1
     }
-    labels.select($"v", $"label" as "community")
+    g.perVertex("community", label)
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.SparkSession
 import repro.graph.{LocalGraph, SetGraph, SparkGraph}
 import repro.setalg.{SetFactory, VertexSet}
 
@@ -185,10 +186,15 @@ object SubgraphIso {
     */
   def count(g: SparkGraph, gLabels: Array[Int], pattern: Pattern,
             induced: Boolean, variant: Variant = WorkSteal,
-            factory: SetFactory = SetFactory.sorted, tasks: Int = 0): Long = {
-    require(gLabels.length == g.n, s"${gLabels.length} labels for ${g.n} target vertices")
-    val sc = g.spark.sparkContext
-    val local = g.toLocal
+            factory: SetFactory = SetFactory.sorted, tasks: Int = 0): Long =
+    countLocal(g.spark, g.toLocal, gLabels, pattern, induced, variant, factory, tasks)
+
+  /** [[count]] against a pre-collected target CSR. */
+  def countLocal(spark: SparkSession, local: LocalGraph, gLabels: Array[Int], pattern: Pattern,
+                 induced: Boolean, variant: Variant = WorkSteal,
+                 factory: SetFactory = SetFactory.sorted, tasks: Int = 0): Long = {
+    require(gLabels.length == local.n, s"${gLabels.length} labels for ${local.n} target vertices")
+    val sc = spark.sparkContext
     val order = searchOrder(pattern.graph)
     val cand = if (variant == Precompute) precomputeCandidates(local, gLabels, pattern, factory) else null
     val nTasks = if (tasks > 0) tasks else sc.defaultParallelism

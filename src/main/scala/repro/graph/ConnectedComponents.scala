@@ -1,34 +1,33 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
-/** Minimum-label connected components as an iterative dataflow fixpoint:
-  * every vertex repeatedly adopts the smallest label in its closed
-  * neighborhood until no label changes. Substrate for Jarvis-Patrick
-  * clustering (§6.5) and graph statistics.
+/** Connected components on the collected CSR — the substrate for
+  * Jarvis-Patrick clustering (§6.5). One O(n + m) pass: a BFS from each
+  * still-unlabelled vertex, taken in ascending ID order, so every vertex is
+  * labelled with the smallest vertex ID in its component.
   */
 object ConnectedComponents {
 
-  /** (v, component) for every vertex appearing in `edges` plus `vertices`.
-    * `edges` must be symmetric (both directions).
-    */
-  def run(vertices: DataFrame, edges: DataFrame): DataFrame = {
-    val spark = vertices.sparkSession
-    import spark.implicits._
-    var labels = vertices.select($"v", $"v" as "label").localCheckpoint()
-    var changed = 1L
-    while (changed > 0) {
-      val viaNeighbors = edges
-        .join(labels.withColumnRenamed("v", "dst"), Seq("dst"))
-        .select($"src" as "v", $"label")
-      val next = labels.select($"v", $"label").union(viaNeighbors)
-        .groupBy($"v").agg(min($"label") as "label")
-        .localCheckpoint()
-      changed = next.as("n").join(labels.as("o"), Seq("v"))
-        .where(col("n.label") =!= col("o.label")).count()
-      labels = next
+  /** label(v) = the smallest vertex ID in v's component. */
+  def run(g: LocalGraph): Array[Int] = {
+    val label = Array.fill(g.n)(-1)
+    val queue = new Array[Int](g.n)
+    var s = 0
+    while (s < g.n) {
+      if (label(s) < 0) {
+        label(s) = s; queue(0) = s
+        var head = 0; var tail = 1
+        while (head < tail) {
+          val u = queue(head); head += 1
+          var i = g.offsets(u)
+          while (i < g.offsets(u + 1)) {
+            val w = g.adj(i)
+            if (label(w) < 0) { label(w) = s; queue(tail) = w; tail += 1 }
+            i += 1
+          }
+        }
+      }
+      s += 1
     }
-    labels.select($"v", $"label" as "component")
+    label
   }
 }

@@ -151,9 +151,12 @@ final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Ser
 object LocalGraph {
 
   /** Build from an arbitrary edge iterable: symmetrises, dedupes, drops
-    * self-loops. `n` must exceed every vertex ID.
+    * self-loops. Every endpoint must lie in `[0, n)`.
     */
   def fromEdges(n: Int, edges: Iterable[(Int, Int)]): LocalGraph = {
+    edges.foreach { case e @ (u, v) =>
+      require(u >= 0 && u < n && v >= 0 && v < n, s"edge $e has an endpoint outside [0, $n)")
+    }
     val deg = new Array[Int](n)
     val clean = edges.iterator.collect {
       case (u, v) if u != v => if (u < v) (u, v) else (v, u)

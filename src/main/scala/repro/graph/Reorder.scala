@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
 /** Vertex reorderings — GMS pipeline stage 3 (preprocessing).
@@ -108,12 +108,6 @@ object Reorder {
     rank
   }
 
-  /** A rank array as a `(v, rank)` DataFrame. */
-  private def toDataFrame(spark: SparkSession, rank: Array[Int]): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(rank.indices.map(v => (v, rank(v)))).toDF("v", "rank")
-  }
-
   /** Descending per-vertex triangle count ("triangle count ranking", Table 4),
     * ties by vertex ID; `triPerVertex` is `(v, triangles)`.
     */
@@ -121,7 +115,7 @@ object Reorder {
     val negTri = new Array[Long](g.n)
     triPerVertex.select(col("v").cast("int"), col("triangles").cast("long")).collect()
       .foreach(r => negTri(r.getInt(0)) = -r.getLong(1))
-    toDataFrame(g.spark, rankBy(negTri))
+    g.perVertex("rank", rankBy(negTri))
   }
 
   /** Exact degeneracy order + coreness, driver-side Matula-Beck peeling.
@@ -187,7 +181,7 @@ object Reorder {
     */
   def adg(g: SparkGraph, eps: Double = 0.1): PeelResult = {
     val (rank, rounds) = peel(g.toLocal, AdgOrder(eps))
-    PeelResult(toDataFrame(g.spark, rank), rounds)
+    PeelResult(g.perVertex("rank", rank), rounds)
   }
 
   /** Collect a (v, rank) DataFrame into rank(v) form. */

@@ -49,6 +49,14 @@ final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
     LocalGraph.fromEdges(n, pairs)
   }
 
+  /** A per-vertex value array (index = vertex ID) as a `(v, name)`
+    * DataFrame — how results computed on the CSR return to this level.
+    */
+  def perVertex(name: String, values: Array[Int]): DataFrame = {
+    require(values.length == n, s"${values.length} values for $n vertices")
+    spark.createDataset(values.indices.map(v => (v, values(v)))).toDF("v", name)
+  }
+
   /** Induced subgraph on the `keep` DataFrame (single column `v`). */
   def induced(keep: DataFrame): SparkGraph = {
     val k = keep.select($"v").distinct()

@@ -10,26 +10,24 @@ class JarvisPatrickSpec extends SparkSpec {
     df.as[(Int, Int)].collect().toMap
   }
 
+  private def components(g: LocalGraph): Map[Int, Int] =
+    ConnectedComponents.run(g).zipWithIndex.map(_.swap).toMap
+
   test("connected components: two disjoint triangles") {
-    val local = LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
-    val g = SparkGraph.fromLocal(spark, local)
-    val cc = clusters(ConnectedComponents.run(g.vertices, g.edges))
+    val cc = components(LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))))
     assert(cc(0) == cc(1) && cc(1) == cc(2))
     assert(cc(3) == cc(4) && cc(4) == cc(5))
     assert(cc(0) != cc(3))
   }
 
   test("connected components: long path collapses to one label") {
-    val g = SparkGraph.fromLocal(spark, LocalGraph.path(20))
-    val cc = clusters(ConnectedComponents.run(g.vertices, g.edges))
+    val cc = components(LocalGraph.path(20))
     assert(cc.values.toSet.size == 1)
     assert(cc.values.head == 0)
   }
 
   test("connected components: isolated vertices keep their own label") {
-    val df = spark.createDataFrame(Seq((0, 1))).toDF("src", "dst")
-    val g = SparkGraph.fromEdgeList(spark, df, 4)
-    val cc = clusters(ConnectedComponents.run(g.vertices, g.edges))
+    val cc = components(LocalGraph.fromEdges(4, Seq((0, 1))))
     assert(cc(0) == cc(1))
     assert(cc(2) == 2 && cc(3) == 3)
   }

@@ -25,6 +25,16 @@ class KCoreSpec extends SparkSpec {
     assert(sparkCore(g, 3).isEmpty)
   }
 
+  test("0-core is every non-isolated vertex") {
+    val df = spark.createDataFrame(Seq((0, 1))).toDF("src", "dst")
+    assert(sparkCore(SparkGraph.fromEdgeList(spark, df, 4), 0) == Set(0, 1))
+  }
+
+  test("3-core of a 20×20 grid is empty") {
+    // Peeling eats the grid from its corners one diagonal per round: about 20 rounds.
+    assert(sparkCore(GraphGen.grid(spark, 20, 20), 3).isEmpty)
+  }
+
   test("tree has empty 2-core") {
     val g = SparkGraph.fromLocal(spark, LocalGraph.star(8))
     assert(sparkCore(g, 2).isEmpty)

@@ -48,4 +48,19 @@ class LabelPropagationSpec extends SparkSpec {
     assert((7 until 12).map(c).toSet.size == 1)
     assert(c(1) != c(7))
   }
+
+  test("ties go to the smallest neighbour label") {
+    // Path 0-1-2 from labels = IDs: in round 1 vertex 1 sees labels 0 and 2
+    // once each and takes 0; in round 2 it sees label 1 twice.
+    val g = SparkGraph.fromLocal(spark, LocalGraph.path(3))
+    assert(communities(g, maxIter = 1) == Map(0 -> 1, 1 -> 0, 2 -> 1))
+    assert(communities(g, maxIter = 2) == Map(0 -> 0, 1 -> 1, 2 -> 0))
+  }
+
+  test("maxIter bounds the rounds: a single edge swaps its labels every round") {
+    val g = SparkGraph.fromLocal(spark, LocalGraph.path(2))
+    assert(communities(g, maxIter = 0) == Map(0 -> 0, 1 -> 1))
+    assert(communities(g, maxIter = 1) == Map(0 -> 1, 1 -> 0))
+    assert(communities(g, maxIter = 2) == Map(0 -> 0, 1 -> 1))
+  }
 }

@@ -16,6 +16,13 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.degree(1) == 1)
   }
 
+  test("fromEdges rejects an endpoint outside [0, n), naming the edge") {
+    for (e <- Seq((0, 3), (-1, 2), (3, 3))) {
+      val ex = intercept[IllegalArgumentException](LocalGraph.fromEdges(3, Seq((0, 1), e)))
+      assert(ex.getMessage.contains(e.toString))
+    }
+  }
+
   test("neighbors are sorted") {
     val g = LocalGraph.fromEdges(5, Seq((2, 4), (2, 0), (2, 3), (2, 1)))
     assert(g.neighbors(2).toSeq == Seq(0, 1, 3, 4))
