@@ -17,12 +17,17 @@ object LinkPrediction {
     def effectiveness: Double = if (removed > 0) hits.toDouble / removed else 0.0
   }
 
-  /** Split the edge set: (E_sparse graph, E_rndm as (u,v) u<v). */
+  /** Split the edge set: (E_sparse graph, E_rndm as (u,v) u<v).
+    *
+    * Edge (u, v) is removed iff a uniform draw in [0, 1), the top 53 bits of
+    * `xxhash64(u, v, seed)`, falls below `frac`. The draw depends on nothing
+    * but (u, v, seed), so the split does not change with the edge set's
+    * partitioning, and both halves can be recomputed without caching.
+    */
   def split(g: SparkGraph, frac: Double, seed: Long): (SparkGraph, DataFrame) = {
     import g.spark.implicits._
-    val canon = g.canonicalEdges
-      .select($"src" as "u", $"dst" as "v", (rand(seed) < frac) as "drop")
-      .cache()
+    val draw = shiftrightunsigned(xxhash64($"src", $"dst", lit(seed)), 11).cast("double") / math.pow(2, 53)
+    val canon = g.canonicalEdges.select($"src" as "u", $"dst" as "v", (draw < frac) as "drop")
     val removed = canon.where($"drop").select($"u", $"v")
     val keptEdges = canon.where(!$"drop").select($"u" as "src", $"v" as "dst")
     (SparkGraph.fromEdgeList(g.spark, keptEdges, g.n), removed)

@@ -5,7 +5,7 @@ import repro.setalg.{SetFactory, VertexSet}
 /** Immutable CSR ("adjacency array", the GMS default representation §2.3):
   * `offsets` has n+1 entries; neighbors of v are `adj[offsets(v) until
   * offsets(v+1))`, sorted ascending, no self-loops, no duplicates, and the
-  * graph is symmetric (undirected).
+  * graph is symmetric (undirected). [[validate]] checks these invariants.
   *
   * This is the structure the distributed kernels broadcast, wrapped in a
   * [[SetGraph]] (the paper's `SetGraph<TSet>`, Listing 2) that reads each
@@ -62,20 +62,6 @@ final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Ser
       u += 1
     }
     out.result()
-  }
-
-  /** Every stored arc once — for directed (oriented) CSRs where `adj` holds
-    * only out-neighbors, this is the directed edge list.
-    */
-  def edgeListDirected: Array[(Int, Int)] = {
-    val out = new Array[(Int, Int)](adj.length)
-    var u = 0; var k = 0
-    while (u < n) {
-      var i = offsets(u)
-      while (i < offsets(u + 1)) { out(k) = (u, adj(i)); k += 1; i += 1 }
-      u += 1
-    }
-    out
   }
 
   /** Induced subgraph on `verts` with vertices remapped to 0..k-1 in the
@@ -144,6 +130,48 @@ final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Ser
     new LocalGraph(offs, nadj)
   }
 
+  /** Checks the undirected CSR invariants and returns this graph:
+    * `offsets(0) == 0`, offsets monotone, `offsets(n) == adj.length`; every
+    * neighbour in `[0, n)`; each neighbourhood strictly ascending (sorted,
+    * duplicate-free) and loop-free; and symmetry (`w ∈ N(u)` ⇒ `u ∈ N(w)`).
+    * Throws `IllegalArgumentException` naming the first vertex that breaks
+    * a rule. For paths that build a CSR without [[LocalGraph.fromEdges]]'
+    * cleaning, such as [[SparkGraph.toLocal]].
+    */
+  def validate(): LocalGraph = {
+    def fail(msg: String): Nothing = throw new IllegalArgumentException(msg)
+    if (offsets.isEmpty) fail("offsets is empty")
+    if (offsets(0) != 0) fail(s"offsets(0) is ${offsets(0)}, not 0")
+    var v = 0
+    while (v < n) {
+      if (offsets(v) > offsets(v + 1)) fail(s"vertex $v: offsets decrease from ${offsets(v)} to ${offsets(v + 1)}")
+      v += 1
+    }
+    if (offsets(n) != adj.length) fail(s"offsets($n) is ${offsets(n)}, but adj has ${adj.length} entries")
+    v = 0
+    while (v < n) {
+      var i = offsets(v)
+      while (i < offsets(v + 1)) {
+        val w = adj(i)
+        if (w < 0 || w >= n) fail(s"vertex $v: neighbour $w lies outside [0, $n)")
+        if (w == v) fail(s"vertex $v: self-loop")
+        if (i > offsets(v) && adj(i - 1) >= w) fail(s"vertex $v: neighbours not strictly ascending at ${adj(i - 1)}, $w")
+        i += 1
+      }
+      v += 1
+    }
+    v = 0
+    while (v < n) {
+      var i = offsets(v)
+      while (i < offsets(v + 1)) {
+        if (!hasEdge(adj(i), v)) fail(s"vertex $v: arc to ${adj(i)} has no reverse arc")
+        i += 1
+      }
+      v += 1
+    }
+    this
+  }
+
   /** Total heap bytes of the plain CSR arrays (Fig. 8c baseline). */
   def csrBytes: Long = 32L + 4L * offsets.length + 4L * adj.length
 }
@@ -174,6 +202,32 @@ object LocalGraph {
     i = 0
     while (i < n) { java.util.Arrays.sort(adj, offsets(i), offsets(i + 1)); i += 1 }
     new LocalGraph(offsets, adj)
+  }
+
+  /** Arc (u, v) as one long, `u` in the high and `v` in the low 32 bits;
+    * for IDs ≥ 0 the longs sort by (u, v).
+    */
+  private[graph] def packArc(u: Int, v: Int): Long = (u.toLong << 32) | (v & 0xffffffffL)
+
+  /** The CSR of a symmetric, duplicate-free, loop-free set of packed arcs
+    * ([[packArc]]). Sorts `arcs` in place, counts the high halves into
+    * offsets, takes the low halves as the adjacency, and validates.
+    */
+  private[graph] def fromArcs(n: Int, arcs: Array[Long]): LocalGraph = {
+    java.util.Arrays.sort(arcs)
+    val offsets = new Array[Int](n + 1)
+    val adj = new Array[Int](arcs.length)
+    var i = 0
+    while (i < arcs.length) {
+      val u = (arcs(i) >> 32).toInt
+      if (u < 0 || u >= n) throw new IllegalArgumentException(s"vertex $u lies outside [0, $n)")
+      offsets(u + 1) += 1
+      adj(i) = arcs(i).toInt
+      i += 1
+    }
+    var v = 0
+    while (v < n) { offsets(v + 1) += offsets(v); v += 1 }
+    new LocalGraph(offsets, adj).validate()
   }
 
   /** K_n. */

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** An undirected graph at the dataflow level: a canonicalised symmetric edge
@@ -8,9 +8,8 @@ import org.apache.spark.sql.functions._
   * self-loops, no duplicates) plus the vertex-count `n` (IDs in `[0, n)`).
   *
   * This is GMS pipeline stage 1-2 (load + build representation) expressed in
-  * Catalyst. DataFrame-friendly analytics (degrees, adjacency, reorderings,
-  * similarity) stay on this level; backtracking kernels collect to a
-  * broadcastable [[LocalGraph]] CSR via [[toLocal]].
+  * Catalyst. DataFrame-friendly analytics (degrees, similarity) stay on this
+  * level; kernels collect a broadcastable [[LocalGraph]] CSR via [[toLocal]].
   */
 final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
   import spark.implicits._
@@ -19,7 +18,7 @@ final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
   lazy val m: Long = edges.count() / 2
 
   /** (v, degree) — vertices with at least one edge; isolated vertices have
-    * implicit degree 0 (left-join against [[vertices]] when needed).
+    * implicit degree 0.
     */
   def degrees: DataFrame =
     edges.groupBy($"src" as "v").agg(count("*").cast("int") as "degree")
@@ -27,26 +26,29 @@ final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
   /** All vertex IDs 0..n-1 as a DataFrame. */
   def vertices: DataFrame = spark.range(n).select($"id".cast("int") as "v")
 
-  /** Degrees including isolated vertices (degree 0). */
-  def degreesAll: DataFrame =
-    vertices.join(degrees, Seq("v"), "left").select($"v", coalesce($"degree", lit(0)) as "degree")
-
-  /** (v, neighbors) with neighbors a sorted int array — the CSR neighborhood
-    * view at the DataFrame level.
-    */
-  def adjacency: DataFrame =
-    edges.groupBy($"src" as "v").agg(sort_array(collect_list($"dst")) as "neighbors")
-
   /** Edges with src < dst, each undirected edge once. */
   def canonicalEdges: DataFrame = edges.where($"src" < $"dst")
 
-  /** Collect to a driver-side CSR for broadcast into backtracking kernels. */
+  /** Collect to a driver-side CSR for broadcast into the kernels.
+    *
+    * One Spark job: each partition packs its arcs (both directions, as the
+    * edge set is symmetric) into one `Array[Long]` of `src << 32 | dst`. The
+    * driver concatenates the arrays and sorts them once, so the high halves
+    * give the offsets and the low halves the adjacency. Nothing here
+    * dedupes or symmetrises, so the result goes through
+    * [[LocalGraph.validate]]: an edge set that is not canonical (possible
+    * through the public constructor) fails with the first bad vertex named.
+    * The CSR is collected anew on every call.
+    */
   def toLocal: LocalGraph = {
-    val pairs = canonicalEdges
-      .select($"src", $"dst")
-      .as[(Int, Int)]
+    val parts = edges.select($"src".cast("int"), $"dst".cast("int")).queryExecution.toRdd
+      .mapPartitions { rows =>
+        val arcs = new scala.collection.mutable.ArrayBuilder.ofLong
+        rows.foreach(r => arcs += LocalGraph.packArc(r.getInt(0), r.getInt(1)))
+        Iterator.single(arcs.result())
+      }
       .collect()
-    LocalGraph.fromEdges(n, pairs)
+    LocalGraph.fromArcs(n, Array.concat(parts.toIndexedSeq: _*))
   }
 
   /** A per-vertex value array (index = vertex ID) as a `(v, name)`
@@ -56,30 +58,33 @@ final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
     require(values.length == n, s"${values.length} values for $n vertices")
     spark.createDataset(values.indices.map(v => (v, values(v)))).toDF("v", name)
   }
-
-  /** Induced subgraph on the `keep` DataFrame (single column `v`). */
-  def induced(keep: DataFrame): SparkGraph = {
-    val k = keep.select($"v").distinct()
-    val e = edges
-      .join(k.withColumnRenamed("v", "src"), Seq("src"))
-      .join(k.withColumnRenamed("v", "dst"), Seq("dst"))
-      .select($"src", $"dst")
-    SparkGraph(spark, e, n)
-  }
 }
 
 object SparkGraph {
 
   /** Canonicalise an arbitrary (src, dst) DataFrame into a [[SparkGraph]]:
-    * drop self-loops, symmetrise, dedupe. Caches the edge set — every
-    * algorithm re-reads it.
+    * drop self-loops, symmetrise, dedupe.
+    *
+    * An endpoint that is null or outside `[0, n)` is an error that names the
+    * offending edge. It is raised by the first action on the graph (or, for
+    * a driver-local input, while its plan is optimised); there is no
+    * separate validation job. The edge set is cached in
+    * `defaultParallelism` partitions (one per core in local mode): every
+    * algorithm re-reads it, and [[SparkGraph.toLocal]] collects it with one
+    * task per partition.
     */
   def fromEdgeList(spark: SparkSession, raw: DataFrame, n: Int): SparkGraph = {
+    def outside(c: Column): Column = c.isNull || c < 0 || c >= n
+    val bad = raise_error(format_string(s"edge (%s, %s) has an endpoint outside [0, $n)", col("src"), col("dst")))
     val e = raw
-      .select(col("src").cast("int") as "src", col("dst").cast("int") as "dst")
+      .select(
+        when(outside(col("src")) || outside(col("dst")), bad).otherwise(col("src").cast("int")) as "src",
+        col("dst").cast("int") as "dst")
       .where(col("src") =!= col("dst"))
-      .where(col("src") >= 0 && col("dst") >= 0 && col("src") < n && col("dst") < n)
-    val sym = e.union(e.select(col("dst") as "src", col("src") as "dst")).distinct().cache()
+    val sym = e.union(e.select(col("dst") as "src", col("src") as "dst"))
+      .distinct()
+      .coalesce(spark.sparkContext.defaultParallelism)
+      .cache()
     SparkGraph(spark, sym, n)
   }
 

@@ -16,6 +16,16 @@ class LinkPredictionSpec extends SparkSpec {
     assert(kept.union(rem) == all)
   }
 
+  test("split depends on the edges and the seed, not on the partitioning") {
+    import spark.implicits._
+    val g = GraphGen.er(spark, 60, 300, seed = 51)
+    val reshuffled = SparkGraph(spark, g.edges.repartition(7), g.n)
+    def removed(h: SparkGraph) = LinkPrediction.split(h, 0.2, seed = 1)._2.as[(Int, Int)].collect().toSet
+    val r = removed(g)
+    assert(r.nonEmpty)
+    assert(removed(reshuffled) == r)
+  }
+
   test("frac=0 removes nothing; effectiveness well-defined") {
     val g = GraphGen.er(spark, 40, 150, seed = 52)
     val r = LinkPrediction.run(g, frac = 0.0)

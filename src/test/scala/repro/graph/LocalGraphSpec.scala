@@ -23,6 +23,31 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("validate accepts every fromEdges graph and returns it") {
+    for (g <- Seq(LocalGraph.complete(5), LocalGraph.star(4), GraphGen.erLocal(40, 0.2, 5),
+                  LocalGraph.fromEdges(3, Seq.empty), LocalGraph.fromEdges(0, Seq.empty)))
+      assert(g.validate() eq g)
+  }
+
+  test("validate rejects a broken CSR, naming the first bad vertex") {
+    // The path 0-1-2 is offsets (0, 1, 3, 4), adj (1, 0, 2, 1).
+    val broken = Seq(
+      "unsorted" -> (Array(0, 1, 3, 4), Array(1, 2, 0, 1), "vertex 1"),
+      "duplicate" -> (Array(0, 1, 3, 4), Array(1, 0, 0, 1), "vertex 1"),
+      "self-loop" -> (Array(0, 1, 3, 4), Array(1, 0, 1, 1), "vertex 1"),
+      "asymmetric" -> (Array(0, 1, 2, 3), Array(1, 0, 1), "vertex 2"),
+      "out-of-range neighbour" -> (Array(0, 1, 3, 4), Array(1, 0, 3, 1), "vertex 1"),
+      "negative neighbour" -> (Array(0, 1, 3, 4), Array(1, -1, 0, 1), "vertex 1"),
+      "offsets not from 0" -> (Array(1, 1, 3, 4), Array(1, 0, 2, 1), "offsets(0)"),
+      "offsets decrease" -> (Array(0, 3, 1, 4), Array(1, 0, 2, 1), "vertex 1"),
+      "offsets short of adj" -> (Array(0, 1, 3, 3), Array(1, 0, 2, 1), "offsets(3)"),
+    )
+    for ((name, (offsets, adj, first)) <- broken) {
+      val ex = intercept[IllegalArgumentException](new LocalGraph(offsets, adj).validate())
+      assert(ex.getMessage.contains(first), s"$name: ${ex.getMessage}")
+    }
+  }
+
   test("neighbors are sorted") {
     val g = LocalGraph.fromEdges(5, Seq((2, 4), (2, 0), (2, 3), (2, 1)))
     assert(g.neighbors(2).toSeq == Seq(0, 1, 3, 4))
@@ -55,11 +80,12 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.edgeList.toSeq.sorted == Seq((0, 1), (1, 4), (2, 3)))
   }
 
-  test("edgeListDirected on an oriented graph matches orientation") {
+  test("orient on a 4-cycle keeps the arcs that rise in rank") {
     val g = LocalGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3), (0, 3)))
     val rank = Array(0, 1, 2, 3)
     val o = g.orient(rank)
-    assert(o.edgeListDirected.toSeq.sorted == Seq((0, 1), (0, 3), (1, 2), (2, 3)))
+    val arcs = for (u <- 0 until o.n; v <- o.neighbors(u)) yield (u, v)
+    assert(arcs.sorted == Seq((0, 1), (0, 3), (1, 2), (2, 3)))
   }
 
   test("orient keeps exactly one direction per edge") {
@@ -68,7 +94,7 @@ class LocalGraphSpec extends AnyFunSuite {
     val rank = rnd.shuffle((0 until 30).toList).toArray
     val o = g.orient(rank)
     assert(o.adj.length == g.m)
-    o.edgeListDirected.foreach { case (u, v) =>
+    for (u <- 0 until o.n; v <- o.neighbors(u)) {
       assert(rank(u) < rank(v))
       assert(g.hasEdge(u, v))
     }

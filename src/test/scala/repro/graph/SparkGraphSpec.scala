@@ -28,32 +28,11 @@ class SparkGraphSpec extends SparkSpec {
       "edges" -> g.edges)
   }
 
-  test("degreesAll fills isolated vertices with 0") {
-    import spark.implicits._
-    val d = g.degreesAll.as[(Int, Int)].collect().toMap
-    assert(d == Map(0 -> 2, 1 -> 2, 2 -> 3, 3 -> 1, 4 -> 0))
-  }
-
-  test("adjacency lists are sorted and complete") {
-    import spark.implicits._
-    val adj = g.adjacency.as[(Int, Seq[Int])].collect().toMap
-    assert(adj(0) == Seq(1, 2))
-    assert(adj(2) == Seq(0, 1, 3))
-    assert(!adj.contains(4))
-  }
-
   test("toLocal round-trips through fromLocal") {
     val l = g.toLocal
     assert(l.n == 5 && l.m == 4)
     val g2 = SparkGraph.fromLocal(spark, l)
     assert(g2.toLocal.edgeList.toSeq.sorted == l.edgeList.toSeq.sorted)
-  }
-
-  test("induced subgraph keeps only internal edges") {
-    import spark.implicits._
-    val keep = spark.createDataset(Seq(0, 1, 2)).toDF("v")
-    val ind = g.induced(keep)
-    assert(ind.canonicalEdges.as[(Int, Int)].collect().toSet == Set((0, 1), (0, 2), (1, 2)))
   }
 
   test("vertices covers 0..n-1") {
@@ -62,8 +41,55 @@ class SparkGraphSpec extends SparkSpec {
   }
 
   test("out-of-range endpoints are rejected") {
-    val df = spark.createDataFrame(Seq((0, 9), (-1, 2), (0, 1))).toDF("src", "dst")
-    val h = SparkGraph.fromEdgeList(spark, df, 5)
-    assert(h.m == 1)
+    // A driver-local input fails while its plan is optimised, any other
+    // input by the first action; both name the edge.
+    for ((e, bad) <- Seq((0, 9) -> "(0, 9)", (-1, 2) -> "(-1, 2)", (7, 7) -> "(7, 7)")) {
+      val df = spark.createDataFrame(Seq((0, 1), e)).toDF("src", "dst")
+      val ex = intercept[Exception](SparkGraph.fromEdgeList(spark, df, 5).m)
+      assert(ex.getMessage.contains(s"edge $bad has an endpoint outside [0, 5)"), ex.getMessage)
+    }
+    val path = spark.range(100).select(col("id") as "src", col("id") + 1 as "dst")
+    val h = SparkGraph.fromEdgeList(spark, path, 100)
+    val ex = intercept[Exception](h.m)
+    assert(ex.getMessage.contains("edge (99, 100) has an endpoint outside [0, 100)"), ex.getMessage)
+  }
+
+  test("a null endpoint is rejected") {
+    import spark.implicits._
+    val df = Seq((0, Option(1)), (2, None)).toDF("src", "dst")
+    val ex = intercept[Exception](SparkGraph.fromEdgeList(spark, df, 5).m)
+    assert(ex.getMessage.contains("edge (2, null) has an endpoint outside [0, 5)"), ex.getMessage)
+  }
+
+  test("fromEdgeList caches its edge set in defaultParallelism partitions") {
+    assert(g.edges.rdd.getNumPartitions == spark.sparkContext.defaultParallelism)
+    assert(GraphGen.rmat(spark, 8, 8).edges.rdd.getNumPartitions == spark.sparkContext.defaultParallelism)
+  }
+
+  test("toLocal is byte-identical to fromEdges over the canonical edges") {
+    import spark.implicits._
+    val graphs = Seq(
+      "R-MAT 9x8" -> GraphGen.rmat(spark, 9, 8),
+      "planted cliques" -> GraphGen.plantedCliques(spark, 300, 600, 5, Seq(6, 9)),
+      "grid 12x17" -> GraphGen.grid(spark, 12, 17),
+      "ER with trailing isolated vertices" ->
+        SparkGraph.fromEdgeList(spark, GraphGen.er(spark, 80, 300, seed = 3).edges, 100),
+      "edgeless" -> SparkGraph.fromEdgeList(spark, Seq.empty[(Int, Int)].toDF("src", "dst"), 7),
+      "n = 1" -> SparkGraph.fromEdgeList(spark, Seq((0, 0)).toDF("src", "dst"), 1),
+    )
+    for ((name, h) <- graphs) {
+      val l = h.toLocal
+      val ref = LocalGraph.fromEdges(h.n, h.canonicalEdges.as[(Int, Int)].collect().toSeq)
+      assert(l.offsets.sameElements(ref.offsets), name)
+      assert(l.adj.sameElements(ref.adj), name)
+    }
+  }
+
+  test("toLocal rejects an edge set that is not canonical") {
+    import spark.implicits._
+    val oneWay = SparkGraph(spark, Seq((0, 1), (1, 2), (2, 1)).toDF("src", "dst"), 3)
+    assert(intercept[IllegalArgumentException](oneWay.toLocal).getMessage.contains("vertex 0"))
+    val outside = SparkGraph(spark, Seq((0, 1), (1, 0), (3, 0)).toDF("src", "dst"), 3)
+    assert(intercept[IllegalArgumentException](outside.toLocal).getMessage.contains("vertex 3"))
   }
 }
