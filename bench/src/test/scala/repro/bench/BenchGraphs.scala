@@ -5,7 +5,9 @@ import repro.graph.{GraphGen, SparkGraph}
 
 /** The six synthetic Table-7 stand-in graphs at bench scale (~SF 0.1), one
   * per origin class the paper argues matters (§4.2, §8.6). Deterministic in
-  * seed; sized so every bench family finishes in minutes on ~16 cores.
+  * seed. The sizes were tuned on a 16-core machine; on a 4-vCPU host,
+  * building all six and computing their Table-7 statistics takes under a
+  * minute, and the other families' run times there are not all measured.
   */
 object BenchGraphs {
 

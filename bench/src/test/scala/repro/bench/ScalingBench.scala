@@ -1,6 +1,7 @@
 package repro.bench
 
 import java.util.concurrent.atomic.AtomicLong
+import org.apache.spark.bench.ListenerBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
 import repro.SparkSpec
 import repro.core.MaximalCliques
@@ -34,8 +35,8 @@ class ScalingBench extends SparkSpec {
       val (r, wall) = Metrics.timed(
         MaximalCliques.mineLocal(spark, local, rank, MaximalCliques.BkGmsAdg(),
                                  tasks = threads))
-      // Listener events post asynchronously; give the bus a moment to drain.
-      Thread.sleep(500)
+      // Listener events post asynchronously; wait until all have arrived.
+      ListenerBus.drain(spark.sparkContext)
       spark.sparkContext.removeSparkListener(listener)
       val cpuSec = listener.cpuNanos.get() / 1e9
       val stall = Metrics.stallProxy(cpuSec, wall, threads)

@@ -14,7 +14,6 @@ object Jobs {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
   /** Named graphs; `scale` ∈ {test, bench} roughly SF 0.01 / 0.1. */

@@ -1,8 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.graph.{ConnectedComponents, LocalGraph, SparkGraph}
 
 /** Jarvis-Patrick clustering (paper §6.5 / Table 4): two adjacent vertices
@@ -10,37 +8,28 @@ import repro.graph.{ConnectedComponents, LocalGraph, SparkGraph}
   * similar neighbors *and* they share at least `minShared` neighbors.
   * Clusters are the connected components of the surviving edges —
   * single-level, and (via the shared-neighbor test) the paper's example of
-  * similarity-driven clustering. The similarity, top-knn and mutual /
-  * shared-neighbor stages are dataflow; the surviving edges are collected
-  * into a CSR for [[ConnectedComponents]].
+  * similarity-driven clustering. Everything runs on the collected CSR: one
+  * [[Similarity.Wedges]] row per vertex gives its edges' scores and shared
+  * counts, and [[ConnectedComponents]] labels the surviving edges.
   */
 object JarvisPatrick {
 
   /** (v, cluster) for all n vertices (singletons keep their own ID). */
   def cluster(g: SparkGraph, knn: Int, minShared: Int,
               measure: Similarity.Measure = Similarity.CommonNeighbors): DataFrame = {
-    import g.spark.implicits._
-    // Directed similarity per adjacent pair, both directions.
-    val s = Similarity.edgeScores(g, measure)
-    val directed = s.select($"u" as "a", $"v" as "b", $"score")
-      .union(s.select($"v" as "a", $"u" as "b", $"score"))
-    // Keep each vertex's top-knn most similar neighbors.
-    val topk = directed
-      .withColumn("rk", row_number().over(
-        Window.partitionBy($"a").orderBy($"score".desc, $"b")))
-      .where($"rk" <= knn)
-      .select($"a", $"b")
-    // Mutual-kNN test: (u,v) and (v,u) both present.
-    val mutual = topk.as("t1")
-      .join(topk.as("t2"), col("t1.a") === col("t2.b") && col("t1.b") === col("t2.a"))
-      .where(col("t1.a") < col("t1.b"))
-      .select(col("t1.a") as "u", col("t1.b") as "v")
-    // Shared-neighbor threshold.
-    val cn = Similarity.commonNeighborStats(g).select($"u", $"v", $"cn")
-    val kept = mutual.join(cn, Seq("u", "v"), "left")
-      .where(coalesce($"cn", lit(0L)) >= minShared)
-      .select($"u", $"v")
-      .as[(Int, Int)].collect()
-    g.perVertex("cluster", ConnectedComponents.run(LocalGraph.fromEdges(g.n, kept)))
+    val local = g.toLocal
+    // Per vertex a: its top-knn neighbours by (score desc, ID), and those of
+    // them it shares at least minShared neighbours with.
+    val (top, shared) = SeedRunner.byUnit(SeedRunner.run(g.spark.sparkContext, local, local.n, 0) { (lg, seeds) =>
+      val acc = new Similarity.Wedges(lg)
+      seeds.map { a =>
+        acc.row(a, -1)
+        // Neighbours ascend and sortWith is stable, so equal scores stay in ID order.
+        val best = lg.neighbors(a).sortWith(acc.score(measure, a, _) > acc.score(measure, a, _)).take(knn)
+        (best, best.filter(acc.cn(_) >= minShared))
+      }.toArray
+    }).unzip
+    val kept = for (a <- 0 until local.n; b <- shared(a) if a < b && top(b).contains(a)) yield (a, b)
+    g.perVertex("cluster", ConnectedComponents.run(LocalGraph.fromEdges(local.n, kept)))
   }
 }

@@ -9,13 +9,17 @@ import repro.graph.SparkGraph
   * E_rndm ⊆ E is removed at random; the predictor scores candidate pairs of
   * the sparsified graph E_sparse = E \ E_rndm with a similarity measure S,
   * predicts the top-|E_rndm| non-adjacent pairs, and the effectiveness is
-  * eff = |E_predict ∩ E_rndm| (reported also as a ratio). Pure dataflow.
+  * eff = |E_predict ∩ E_rndm| (reported also as a ratio). The split is
+  * dataflow; the scoring runs on the collected CSR of E_sparse.
   */
 object LinkPrediction {
 
   final case class Result(removed: Long, hits: Long) {
     def effectiveness: Double = if (removed > 0) hits.toDouble / removed else 0.0
   }
+
+  /** Prediction order of (score, u, v): score descending, then u, then v. */
+  private val predictionOrder = Ordering.Tuple3(Ordering.Double.TotalOrdering.reverse, Ordering.Int, Ordering.Int)
 
   /** Split the edge set: (E_sparse graph, E_rndm as (u,v) u<v).
     *
@@ -33,19 +37,21 @@ object LinkPrediction {
     (SparkGraph.fromEdgeList(g.spark, keptEdges, g.n), removed)
   }
 
-  /** Run the full §6.7 protocol. */
+  /** Run the full §6.7 protocol. The candidates are the non-adjacent pairs
+    * of E_sparse with ≥1 common neighbour, scored in the tasks; each task
+    * keeps its best |E_rndm| in a bounded heap (`takeOrdered`), and the
+    * driver merges the heaps.
+    */
   def run(g: SparkGraph, measure: Similarity.Measure = Similarity.Jaccard,
           frac: Double = 0.1, seed: Long = 42): Result = {
     import g.spark.implicits._
-    val (sparse, removed) = split(g, frac, seed)
-    val nRemoved = removed.count()
-    if (nRemoved == 0) return Result(0, 0)
-    // Candidates: pairs with ≥1 common neighbor in E_sparse, minus existing edges.
-    val cand = Similarity.scores(sparse, measure)
-      .join(sparse.canonicalEdges.select($"src" as "u", $"dst" as "v"),
-            Seq("u", "v"), "left_anti")
-    val predicted = cand.orderBy($"score".desc, $"u", $"v").limit(nRemoved.toInt)
-    val hits = predicted.join(removed, Seq("u", "v"), "left_semi").count()
-    Result(nRemoved, hits)
+    val (sparse, removedDf) = split(g, frac, seed)
+    val removed = removedDf.as[(Int, Int)].collect().toSet
+    if (removed.isEmpty) return Result(0, 0)
+    val candidates = Similarity.pairs(sparse, edges = false) { (acc, u, v) =>
+      (acc.score(measure, u, v), u, v, acc.g.hasEdge(u, v))
+    }
+    val predicted = candidates.collect { case (s, u, v, false) => (s, u, v) }.takeOrdered(removed.size)(predictionOrder)
+    Result(removed.size, predicted.count { case (_, u, v) => removed((u, v)) })
   }
 }

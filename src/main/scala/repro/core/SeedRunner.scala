@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import repro.graph.LocalGraph
 import scala.reflect.ClassTag
 
@@ -33,6 +34,24 @@ object SeedRunner {
         .map(t => task(bc.value, Iterator.range(t, units, nTasks)))
         .collect()
     } finally bc.destroy()
+
+  /** [[run]] for tasks that emit rows: an RDD of what `task(data, myUnits)`
+    * yields in each of the `T` tasks, collected nowhere. `data` travels in
+    * the task closure, which Spark ships once per stage, and not in a
+    * broadcast: the RDD is lazy and may be evaluated again, so no point
+    * exists at which a broadcast could be destroyed.
+    */
+  def rows[D, R: ClassTag](sc: SparkContext, data: D, units: Int, tasks: Int)
+                          (task: (D, Iterator[Int]) => Iterator[R]): RDD[R] = {
+    val nTasks = if (tasks > 0) tasks else sc.defaultParallelism * 4
+    sc.parallelize(0 until nTasks, nTasks).flatMap(t => task(data, Iterator.range(t, units, nTasks)))
+  }
+
+  /** The per-task arrays of a [[run]] that yields one value per unit as
+    * one array indexed by unit: unit u is task u % T's (u / T)-th value.
+    */
+  private[core] def byUnit[R: ClassTag](perTask: Array[Array[R]]): Array[R] =
+    Array.tabulate(perTask.iterator.map(_.length).sum)(u => perTask(u % perTask.length)(u / perTask.length))
 
   /** Σ `f(u, v)` over the arcs of `g`'s CSR whose indices `arcs` yields in
     * ascending order (a task's units when they are arcs); `u`, the source,

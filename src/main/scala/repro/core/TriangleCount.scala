@@ -1,66 +1,36 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.graph.SparkGraph
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.graph.{LocalGraph, Reorder, SetGraph, SparkGraph}
+import repro.setalg.SetFactory
 
 /** Triangle counting — the 3-clique base case of Alg. 7, kept as its own
-  * module because the paper treats it as a separately-studied problem, and
-  * because its dataflow form (`tc += |N(v) ∩ N(w)|` over directed edges,
-  * Fig. 2 stage 5) is the canonical set-algebra example and is
-  * DuckDB-verifiable via `Oracle`.
+  * module because the paper treats it as a separately-studied problem. Both
+  * counts are set algebra on the collected CSR (`tc += |N(v) ∩ N(w)|`,
+  * Fig. 2 stage 5) and DuckDB-verifiable via `Oracle`.
   */
 object TriangleCount {
 
-  /** Total number of triangles T, as pure dataflow: orient edges by (degree,
-    * id) to deduplicate (each triangle counted once at its lowest-ranked
-    * apex), then count length-2 directed paths closed by a directed edge.
+  /** Total number of triangles T: [[KClique]] at k = 3 under the DEG order
+    * (§4.1.3), which counts each triangle once, at its lowest-ranked apex.
     */
-  def count(g: SparkGraph): Long = {
-    val spark = g.spark
-    import spark.implicits._
-    val dir = directedByDegree(g).cache()
-    val paths = dir.as("e1").join(dir.as("e2"), col("e1.dst") === col("e2.src"))
-      .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c")
-    val t = paths.join(dir.as("e3"),
-        col("a") === col("e3.src") && col("c") === col("e3.dst"))
-      .count()
-    dir.unpersist()
-    t
-  }
+  def count(g: SparkGraph): Long = KClique.run(g, 3, Reorder.DegOrder).cliques
 
-  /** Per-vertex triangle counts (v, triangles) — the paper's T-skew statistic
-    * (Table 7) and the "triangle count ranking" preprocessing (Table 4).
-    * Each triangle contributes to all three corners.
+  /** t(v) = ½ Σ_{u∈N(v)} |N(u) ∩ N(v)|, the triangles on each vertex v. */
+  def perVertexLocal(spark: SparkSession, local: LocalGraph): Array[Long] =
+    SeedRunner.byUnit(SeedRunner.run(spark.sparkContext, new SetGraph(local, SetFactory.sorted), local.n, 0) {
+      (sg, vs) => vs.map { v =>
+        val nv = sg.neighbors(v)
+        nv.iterator.map(sg.neighbors(_).intersectCount(nv).toLong).sum / 2
+      }.toArray
+    })
+
+  /** (v, triangles) for each vertex on a triangle — the paper's T-skew
+    * statistic (Table 7) and the "triangle count ranking" (Table 4).
     */
   def perVertex(g: SparkGraph): DataFrame = {
-    val spark = g.spark
-    import spark.implicits._
-    val dir = directedByDegree(g).cache()
-    val tri = dir.as("e1").join(dir.as("e2"), col("e1.dst") === col("e2.src"))
-      .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c")
-      .join(dir.as("e3"), col("a") === col("e3.src") && col("c") === col("e3.dst"))
-      .select($"a", $"b", $"c")
-    val corners = tri.select($"a" as "v")
-      .union(tri.select($"b" as "v"))
-      .union(tri.select($"c" as "v"))
-    val out = corners.groupBy($"v")
-      .agg(org.apache.spark.sql.functions.count(lit(1)) as "triangles")
-    dir.unpersist()
-    out
-  }
-
-  /** Orient each undirected edge from lower to higher (degree, id) — the
-    * standard degree-ordering trick the paper cites for avoiding triple
-    * counting (§4.1.3).
-    */
-  private def directedByDegree(g: SparkGraph): DataFrame = {
     import g.spark.implicits._
-    val deg = g.degrees
-    g.edges
-      .join(deg.select($"v" as "src", $"degree" as "dsrc"), Seq("src"))
-      .join(deg.select($"v" as "dst", $"degree" as "ddst"), Seq("dst"))
-      .where($"dsrc" < $"ddst" || ($"dsrc" === $"ddst" && $"src" < $"dst"))
-      .select($"src", $"dst")
+    val tri = perVertexLocal(g.spark, g.toLocal)
+    tri.indices.filter(tri(_) > 0).map(v => (v, tri(v))).toDF("v", "triangles")
   }
 }

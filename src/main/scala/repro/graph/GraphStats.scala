@@ -1,12 +1,11 @@
 package repro.graph
 
-import org.apache.spark.sql.functions._
 import repro.core.TriangleCount
 
-/** The Table-7 structural-feature columns, computed by our own dataflow
-  * code: n, m, sparsity m/n, maximum degree, triangle count T, average
-  * triangles per vertex T/n, and the T-skew statistic (maximum triangles on
-  * a single vertex, the paper's T̂).
+/** The Table-7 structural-feature columns, all read from one collected CSR:
+  * n, m, sparsity m/n, maximum degree, triangle count T, average triangles
+  * per vertex T/n, and the T-skew statistic (maximum triangles on a single
+  * vertex, the paper's T̂).
   */
 object GraphStats {
 
@@ -15,14 +14,10 @@ object GraphStats {
                          maxTriPerVertex: Long)
 
   def compute(name: String, g: SparkGraph): Stats = {
-    import g.spark.implicits._
-    val m = g.m
-    val maxDeg = g.degrees.agg(max($"degree")).collect().headOption
-      .flatMap(r => Option(r.get(0)).map(_.asInstanceOf[Int])).getOrElse(0)
-    val perV = TriangleCount.perVertex(g).cache()
-    val t = perV.agg(sum($"triangles")).as[Option[Long]].head().getOrElse(0L) / 3
-    val maxT = perV.agg(max($"triangles")).as[Option[Long]].head().getOrElse(0L)
-    perV.unpersist()
-    Stats(name, g.n, m, m.toDouble / g.n, maxDeg, t, t.toDouble / g.n, maxT)
+    val local = g.toLocal
+    val tri = TriangleCount.perVertexLocal(g.spark, local)
+    val t = tri.sum / 3
+    Stats(name, local.n, local.m, local.m.toDouble / local.n, local.maxDegree, t, t.toDouble / local.n,
+          tri.maxOption.getOrElse(0L))
   }
 }

@@ -109,14 +109,10 @@ object Reorder {
   }
 
   /** Descending per-vertex triangle count ("triangle count ranking", Table 4),
-    * ties by vertex ID; `triPerVertex` is `(v, triangles)`.
+    * ties by vertex ID; `triPerVertex(v)` is v's triangle count.
     */
-  def byTriangleCount(g: SparkGraph, triPerVertex: DataFrame): DataFrame = {
-    val negTri = new Array[Long](g.n)
-    triPerVertex.select(col("v").cast("int"), col("triangles").cast("long")).collect()
-      .foreach(r => negTri(r.getInt(0)) = -r.getLong(1))
-    g.perVertex("rank", rankBy(negTri))
-  }
+  def byTriangleCount(g: SparkGraph, triPerVertex: Array[Long]): DataFrame =
+    g.perVertex("rank", rankBy(triPerVertex.map(-_)))
 
   /** Exact degeneracy order + coreness, driver-side Matula-Beck peeling.
     * Returns (rank array, coreness array, degeneracy). rank(v) = position in

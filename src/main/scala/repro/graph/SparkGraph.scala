@@ -8,8 +8,9 @@ import org.apache.spark.sql.functions._
   * self-loops, no duplicates) plus the vertex-count `n` (IDs in `[0, n)`).
   *
   * This is GMS pipeline stage 1-2 (load + build representation) expressed in
-  * Catalyst. DataFrame-friendly analytics (degrees, similarity) stay on this
-  * level; kernels collect a broadcastable [[LocalGraph]] CSR via [[toLocal]].
+  * Catalyst. Only loading, the generators, degrees and link prediction's
+  * edge split stay on this level; every algorithm collects a
+  * [[LocalGraph]] CSR via [[toLocal]] and runs on it.
   */
 final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
   import spark.implicits._
@@ -22,9 +23,6 @@ final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
     */
   def degrees: DataFrame =
     edges.groupBy($"src" as "v").agg(count("*").cast("int") as "degree")
-
-  /** All vertex IDs 0..n-1 as a DataFrame. */
-  def vertices: DataFrame = spark.range(n).select($"id".cast("int") as "v")
 
   /** Edges with src < dst, each undirected edge once. */
   def canonicalEdges: DataFrame = edges.where($"src" < $"dst")
@@ -89,12 +87,8 @@ object SparkGraph {
   }
 
   /** Lift a driver-side [[LocalGraph]] into the dataflow level. */
-  def fromLocal(spark: SparkSession, g: LocalGraph, partitions: Int = 0): SparkGraph = {
+  def fromLocal(spark: SparkSession, g: LocalGraph): SparkGraph = {
     import spark.implicits._
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val df = spark.sparkContext
-      .parallelize(g.edgeList.toIndexedSeq, parts)
-      .toDF("src", "dst")
-    fromEdgeList(spark, df, g.n)
+    fromEdgeList(spark, spark.sparkContext.parallelize(g.edgeList.toIndexedSeq).toDF("src", "dst"), g.n)
   }
 }

@@ -55,6 +55,42 @@ class JarvisPatrickSpec extends SparkSpec {
     assert(cl.values.toSet.size == 5)
   }
 
+  /** Jarvis-Patrick by brute force on the driver: each vertex's top-knn
+    * neighbours by (score desc, ID), the mutual and shared-neighbour tests
+    * per edge, and min-ID labels spread over the kept edges to a fixpoint.
+    */
+  private def reference(g: LocalGraph, knn: Int, minShared: Int, m: Similarity.Measure): Map[Int, Int] = {
+    def edge(a: Int, b: Int): (Int, Double) = {
+      val (cn, s) = BruteSimilarity(g, m, math.min(a, b), math.max(a, b))
+      (cn, if (cn == 0) 0.0 else s)
+    }
+    val top = Array.tabulate(g.n) { a =>
+      g.neighbors(a).sortWith { (b, c) =>
+        val sb = edge(a, b)._2; val sc = edge(a, c)._2
+        sb > sc || (sb == sc && b < c)
+      }.take(knn).toSet
+    }
+    val kept = g.edgeList.filter { case (u, v) => top(u)(v) && top(v)(u) && edge(u, v)._1 >= minShared }
+    val label = Array.range(0, g.n)
+    var changed = true
+    while (changed) {
+      changed = false
+      kept.foreach { case (u, v) =>
+        val l = math.min(label(u), label(v))
+        if (label(u) != l || label(v) != l) { label(u) = l; label(v) = l; changed = true }
+      }
+    }
+    label.zipWithIndex.map(_.swap).toMap
+  }
+
+  for ((knn, minShared) <- Seq((3, 1), (5, 2)); m <- Seq(Similarity.CommonNeighbors, Similarity.Jaccard)) {
+    test(s"JP equals a brute-force reference: knn=$knn minShared=$minShared ${m.name}") {
+      val local = GraphGen.erLocal(40, 0.15, 61)
+      val g = SparkGraph.fromLocal(spark, local)
+      assert(clusters(JarvisPatrick.cluster(g, knn, minShared, m)) == reference(local, knn, minShared, m))
+    }
+  }
+
   test("JP assigns every vertex exactly one cluster") {
     val g = SparkGraph.fromLocal(spark, GraphGen.erLocal(40, 0.15, 61))
     val cl = clusters(JarvisPatrick.cluster(g, knn = 3, minShared = 1))

@@ -52,6 +52,36 @@ class LinkPredictionSpec extends SparkSpec {
     assert(r.effectiveness > 0.2, s"eff=${r.effectiveness}")
   }
 
+  /** §6.7 by brute force on the driver: score every non-adjacent pair of the
+    * sparsified graph with at least one common neighbour, sort by (score
+    * desc, u, v), and count the removed edges among the first |E_rndm|.
+    */
+  private def reference(g: SparkGraph, m: Similarity.Measure, frac: Double, seed: Long): LinkPrediction.Result = {
+    import spark.implicits._
+    val (sparse, removedDf) = LinkPrediction.split(g, frac, seed)
+    val removed = removedDf.as[(Int, Int)].collect().toSet
+    val local = sparse.toLocal
+    val cand = for {
+      u <- 0 until local.n; v <- u + 1 until local.n if !local.hasEdge(u, v)
+      (cn, s) = BruteSimilarity(local, m, u, v) if cn > 0
+    } yield (s, u, v)
+    val predicted = cand.sortWith { case ((s1, u1, v1), (s2, u2, v2)) =>
+      s1 > s2 || (s1 == s2 && (u1 < u2 || (u1 == u2 && v1 < v2)))
+    }.take(removed.size)
+    LinkPrediction.Result(removed.size, predicted.count { case (_, u, v) => removed((u, v)) })
+  }
+
+  for ((name, build, seed) <- Seq[(String, () => SparkGraph, Long)](
+         ("ER(80, 500)", () => GraphGen.er(spark, 80, 500, seed = 55), 5L),
+         ("planted cliques", () => GraphGen.plantedCliques(spark, n = 150, bgEdges = 120,
+                                                           cliques = 6, sizes = Seq(10)), 4L))) {
+    test(s"run equals a brute-force reference for every measure: $name") {
+      val g = build()
+      for (m <- Similarity.allMeasures)
+        assert(LinkPrediction.run(g, m, frac = 0.1, seed = seed) == reference(g, m, 0.1, seed), m.name)
+    }
+  }
+
   test("effectiveness bounded in [0, 1] for every measure") {
     val g = GraphGen.er(spark, 80, 500, seed = 55)
     for (m <- Similarity.allMeasures) {

@@ -108,6 +108,19 @@ class SimilaritySpec extends SparkSpec {
     }
   }
 
+  test("edgeScores is 0.0 on an edge without common neighbours, under every measure") {
+    import spark.implicits._
+    // Triangle 0-1-2 plus the pendant edge 2-3, which closes no wedge.
+    val h = SparkGraph.fromLocal(spark, LocalGraph.fromEdges(4, Seq((0, 1), (1, 2), (0, 2), (2, 3))))
+    for (m <- Similarity.allMeasures) {
+      val es = Similarity.edgeScores(h, m).as[(Int, Int, Double)].collect()
+        .map { case (u, v, s) => (u, v) -> s }.toMap
+      assert(es.keySet == Set((0, 1), (0, 2), (1, 2), (2, 3)), m.name)
+      assert(es((2, 3)) == 0.0, m.name)
+      assert(Seq((0, 1), (0, 2), (1, 2)).forall(es(_) > 0.0), m.name)
+    }
+  }
+
   test("scores are symmetric-safe: u < v in every row") {
     import spark.implicits._
     val s = Similarity.scores(g, Similarity.Jaccard).as[(Int, Int, Double)].collect()

@@ -121,7 +121,7 @@ class ReorderSpec extends SparkSpec {
     val local = LocalGraph.fromEdges(6,
       Seq((0, 1), (1, 2), (0, 2), (2, 3), (3, 4))) // triangle 0-1-2, tail 3-4
     val g = SparkGraph.fromLocal(spark, local)
-    val tri = repro.core.TriangleCount.perVertex(g)
+    val tri = repro.core.TriangleCount.perVertexLocal(spark, local)
     val rank = Reorder.rankArray(Reorder.byTriangleCount(g, tri), 6)
     assert(isPermutation(rank))
     assert(Seq(rank(0), rank(1), rank(2)).max < Seq(rank(3), rank(4), rank(5)).min)

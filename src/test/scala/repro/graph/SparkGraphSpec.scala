@@ -35,11 +35,6 @@ class SparkGraphSpec extends SparkSpec {
     assert(g2.toLocal.edgeList.toSeq.sorted == l.edgeList.toSeq.sorted)
   }
 
-  test("vertices covers 0..n-1") {
-    import spark.implicits._
-    assert(g.vertices.as[Int].collect().sorted.toSeq == (0 until 5))
-  }
-
   test("out-of-range endpoints are rejected") {
     // A driver-local input fails while its plan is optimised, any other
     // input by the first action; both name the edge.
