@@ -10,10 +10,10 @@ import repro.metrics.Metrics
   */
 object Jobs {
   def session(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", 64)
       .getOrCreate()
 
   /** Named graphs; `scale` ∈ {test, bench} roughly SF 0.01 / 0.1. */

@@ -107,21 +107,32 @@ object KClique {
     Result(c, reorderSec, (System.nanoTime() - t1) / 1e9)
   }
 
+  /** Alg. 7's recursion from vertex u of an oriented SetGraph, for listing:
+    * calls `leaf(prefix, C_k)` once per (k-1)-clique `prefix` that starts at
+    * u (newest vertex first, u last), where C_k holds the vertices that
+    * complete it to a k-clique. k ≥ 2.
+    */
+  private[core] def walk(sg: SetGraph, k: Int, u: Int)(leaf: (List[Int], VertexSet) => Unit): Unit = {
+    def rec(i: Int, ci: VertexSet, prefix: List[Int]): Unit =
+      if (i == k) leaf(prefix, ci)
+      else {
+        val it = ci.iterator
+        while (it.hasNext) {
+          val v = it.next()
+          rec(i + 1, sg.neighbors(v).intersect(ci), v :: prefix)
+        }
+      }
+    rec(2, sg.neighbors(u), List(u))
+  }
+
   /** List all k-cliques (sorted) — test-scale only, driver-side. */
   def listLocal(local: LocalGraph, k: Int, rank: Array[Int],
                 factory: SetFactory = SetFactory.sorted): Seq[Seq[Int]] = {
+    if (k == 1) return (0 until local.n).map(Seq(_))
     val sg = new SetGraph(local.orient(rank), factory)
     val out = scala.collection.mutable.ArrayBuffer.empty[Seq[Int]]
-    def rec(i: Int, ci: VertexSet, prefix: List[Int]): Unit = {
-      if (i == k) { ci.iterator.foreach(v => out += (v :: prefix).sorted) ; return }
-      val it = ci.iterator
-      while (it.hasNext) {
-        val v = it.next()
-        rec(i + 1, sg.neighbors(v).intersect(ci), v :: prefix)
-      }
-    }
-    if (k == 1) (0 until local.n).foreach(v => out += Seq(v))
-    else (0 until local.n).foreach(u => rec(2, sg.neighbors(u), List(u)))
+    for (u <- 0 until local.n)
+      walk(sg, k, u)((prefix, ck) => ck.iterator.foreach(v => out += (v :: prefix).sorted))
     out.toSeq
   }
 }

@@ -16,7 +16,8 @@ object KCliqueStar {
   final case class Result(stars: Long, starVertices: Long)
 
   /** Count k-clique-stars and total star-vertex memberships.
-    * Distributed exactly like node-parallel k-clique listing.
+    * Distributed like node-parallel k-clique listing: each seed vertex runs
+    * [[KClique.walk]] on the oriented graph.
     */
   def count(g: SparkGraph, k: Int, rank: Array[Int],
             factory: SetFactory = SetFactory.sorted, tasks: Int = 0): Result = {
@@ -24,9 +25,18 @@ object KCliqueStar {
     val local = g.toLocal
     val data = (new SetGraph(local, factory), new SetGraph(local.orient(rank), factory))
     val agg = SeedRunner.run(g.spark.sparkContext, data, local.n, tasks) { case ((und, ori), seeds) =>
-      seeds.map(countFromVertex(und, ori, k, _)).foldLeft((0L, 0L)) {
-        case ((s, sv), (s1, sv1)) => (s + s1, sv + sv1)
-      }
+      var stars = 0L
+      var starVerts = 0L
+      seeds.foreach(u => KClique.walk(ori, k, u) { (prefix, ck) =>
+        // S of clique v :: prefix is (∩_{p∈prefix} N(p)) ∩ N(v); the prefix
+        // part is shared by every leaf v, and only |S| is needed.
+        val common = commonNeighbors(und, prefix)
+        ck.iterator.foreach { v =>
+          val s = common.intersectCount(und.neighbors(v))
+          if (s > 0) { stars += 1; starVerts += s }
+        }
+      })
+      (stars, starVerts)
     }
     Result(agg.map(_._1).sum, agg.map(_._2).sum)
   }
@@ -47,28 +57,4 @@ object KCliqueStar {
     */
   private def commonNeighbors(und: SetGraph, vs: Seq[Int]): VertexSet =
     vs.tail.foldLeft(und.neighbors(vs.head))((s, v) => s.intersect(und.neighbors(v)))
-
-  private def countFromVertex(und: SetGraph, ori: SetGraph, k: Int, u: Int): (Long, Long) = {
-    var stars = 0L
-    var starVerts = 0L
-    def rec(i: Int, ci: VertexSet, prefix: List[Int]): Unit = {
-      if (i == k) {
-        // S of clique v :: prefix is (∩_{p∈prefix} N(p)) ∩ N(v); the prefix
-        // part is shared by every leaf v, and only |S| is needed.
-        val common = commonNeighbors(und, prefix)
-        ci.iterator.foreach { v =>
-          val s = common.intersectCount(und.neighbors(v))
-          if (s > 0) { stars += 1; starVerts += s }
-        }
-        return
-      }
-      val it = ci.iterator
-      while (it.hasNext) {
-        val v = it.next()
-        rec(i + 1, ori.neighbors(v).intersect(ci), v :: prefix)
-      }
-    }
-    rec(2, ori.neighbors(u), List(u))
-    (stars, starVerts)
-  }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.graph.{LocalGraph, Reorder, SetGraph, SparkGraph}
 import repro.graph.Reorder.{AdgOrder, DegOrder, DgrOrder, IdOrder, Order}
-import repro.setalg.{DenseBitSet, SetFactory}
+import repro.setalg.SetFactory
 import scala.collection.mutable.ArrayBuffer
 
 /** Distributed maximal clique listing (paper §6.2, Alg. 6).
@@ -27,7 +27,7 @@ import scala.collection.mutable.ArrayBuffer
   *  - `BK-GMS-ADG-S` — ADG plus the §6.2 subgraph optimization: per outer
   *                   vertex v the induced subgraph H on N(v) is built once,
   *                   IDs are remapped to 0..|N(v)|-1, and all pivot /
-  *                   intersection work runs on H's dense bitsets.
+  *                   intersection work runs on H's sets (dense bitsets).
   */
 object MaximalCliques {
 
@@ -109,7 +109,7 @@ object MaximalCliques {
 
   private def seed(sg: SetGraph, rank: Array[Int], v: Int, subgraphOpt: Boolean,
                    onClique: ArrayBuffer[Int] => Unit): Unit =
-    if (subgraphOpt) seedSubgraph(sg.graph, rank, v, onClique)
+    if (subgraphOpt) seedSubgraph(sg, rank, v, onClique)
     else seedGlobal(sg, rank, v, onClique)
 
   /** Outer-level seed using global-ID sets (Alg. 6 line 13: split N(v) into
@@ -127,19 +127,17 @@ object MaximalCliques {
   }
 
   /** Outer-level seed with the subgraph optimization: all recursion runs in
-    * the induced subgraph H on N(v) with remapped IDs and dense bitsets
-    * (P, X ⊆ N(v) throughout, so H's neighborhoods N_H suffice — §6.2).
+    * the induced subgraph H on N(v) with remapped IDs, read as a SetGraph
+    * under the variant's factory (P, X ⊆ N(v) throughout, so H's
+    * neighborhoods N_H suffice — §6.2).
     */
-  private def seedSubgraph(graph: LocalGraph, rank: Array[Int], v: Int,
+  private def seedSubgraph(sg: SetGraph, rank: Array[Int], v: Int,
                            onClique: ArrayBuffer[Int] => Unit): Unit = {
-    val ns = graph.neighbors(v)
-    if (ns.isEmpty) {
-      if (graph.degree(v) == 0) onClique(ArrayBuffer(v)) // isolated vertex
-      return
-    }
-    val (h, ids) = graph.inducedSubgraph(ns)
+    val ns = sg.graph.neighbors(v)
+    if (ns.isEmpty) { onClique(ArrayBuffer(v)); return } // isolated vertex
+    val (h, ids) = sg.graph.inducedSubgraph(ns)
+    val hs = new SetGraph(h, sg.factory)
     val u = ids.length
-    val nbh = h.neighborhoods(DenseBitSet)
     val later = Array.range(0, u).filter(i => rank(ids(i)) > rank(v))
     val earlier = Array.range(0, u).filter(i => rank(ids(i)) < rank(v))
     val remapped: ArrayBuffer[Int] => Unit = r => {
@@ -149,12 +147,7 @@ object MaximalCliques {
       while (i < r.length) { orig += ids(r(i)); i += 1 }
       onClique(orig)
     }
-    val rBuf = ArrayBuffer(-1)
-    BronKerbosch.bkPivot(
-      DenseBitSet.fromSorted(later, u),
-      rBuf,
-      DenseBitSet.fromSorted(earlier, u),
-      i => nbh(i),
-      remapped)
+    BronKerbosch.fromSeed(-1, sg.factory.fromSorted(later, u), sg.factory.fromSorted(earlier, u),
+                          hs.neighbors, remapped)
   }
 }

@@ -42,14 +42,12 @@ final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Ser
   private def binarySearchRange(a: Array[Int], from: Int, to: Int, key: Int): Int =
     java.util.Arrays.binarySearch(a, from, to, key)
 
-  /** Every neighborhood as a [[VertexSet]], built eagerly — the Fig.-8c
-    * representation-size probe. Kernels read sets through [[SetGraph]].
+  /** Every neighborhood as a [[VertexSet]], built eagerly through a
+    * [[SetGraph]] — the Fig.-8c representation-size probe.
     */
   def neighborhoods(factory: SetFactory): Array[VertexSet] = {
-    val out = new Array[VertexSet](n)
-    var v = 0
-    while (v < n) { out(v) = factory.fromSorted(neighbors(v), n); v += 1 }
-    out
+    val sg = new SetGraph(this, factory)
+    Array.tabulate(n)(sg.neighbors)
   }
 
   /** Undirected edge list with u < v (each edge once). */
@@ -73,61 +71,39 @@ final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Ser
     val idOf = new java.util.HashMap[Int, Int](verts.length * 2)
     var i = 0
     while (i < verts.length) { idOf.put(verts(i), i); i += 1 }
-    val deg = new Array[Int](verts.length)
+    val arcs = new scala.collection.mutable.ArrayBuilder.ofLong
     i = 0
     while (i < verts.length) {
-      val v = verts(i)
-      var j = offsets(v)
-      while (j < offsets(v + 1)) { if (idOf.containsKey(adj(j))) deg(i) += 1; j += 1 }
-      i += 1
-    }
-    val offs = new Array[Int](verts.length + 1)
-    i = 0
-    while (i < verts.length) { offs(i + 1) = offs(i) + deg(i); i += 1 }
-    val nadj = new Array[Int](offs(verts.length))
-    val cur = offs.clone()
-    i = 0
-    while (i < verts.length) {
-      val v = verts(i)
-      var j = offsets(v)
-      while (j < offsets(v + 1)) {
-        if (idOf.containsKey(adj(j))) { nadj(cur(i)) = idOf.get(adj(j)); cur(i) += 1 }
+      var j = offsets(verts(i))
+      while (j < offsets(verts(i) + 1)) {
+        val w = idOf.getOrDefault(adj(j), -1)
+        if (w >= 0) arcs += LocalGraph.packArc(i, w)
         j += 1
       }
       i += 1
     }
-    // Remapped neighbor lists must stay sorted for CSR invariants.
-    i = 0
-    while (i < verts.length) { java.util.Arrays.sort(nadj, offs(i), offs(i + 1)); i += 1 }
-    (new LocalGraph(offs, nadj), verts.clone())
+    val sorted = arcs.result()
+    java.util.Arrays.sort(sorted)
+    (LocalGraph.fromSortedArcs(verts.length, sorted, sorted.length), verts.clone())
   }
 
   /** Directed "later-neighbor" CSR under rank ordering: keeps (u,v) iff
     * rank(u) < rank(v). The standard clique-listing orientation (Alg. 7 line 9).
+    * The kept arcs come in CSR order, which is already sorted.
     */
   def orient(rank: Array[Int]): LocalGraph = {
-    val deg = new Array[Int](n)
+    val arcs = new Array[Long](adj.length)
+    var count = 0
     var u = 0
     while (u < n) {
       var i = offsets(u)
-      while (i < offsets(u + 1)) { if (rank(u) < rank(adj(i))) deg(u) += 1; i += 1 }
-      u += 1
-    }
-    val offs = new Array[Int](n + 1)
-    u = 0
-    while (u < n) { offs(u + 1) = offs(u) + deg(u); u += 1 }
-    val nadj = new Array[Int](offs(n))
-    val cur = offs.clone()
-    u = 0
-    while (u < n) {
-      var i = offsets(u)
       while (i < offsets(u + 1)) {
-        if (rank(u) < rank(adj(i))) { nadj(cur(u)) = adj(i); cur(u) += 1 }
+        if (rank(u) < rank(adj(i))) { arcs(count) = LocalGraph.packArc(u, adj(i)); count += 1 }
         i += 1
       }
       u += 1
     }
-    new LocalGraph(offs, nadj)
+    LocalGraph.fromSortedArcs(n, arcs, count)
   }
 
   /** Checks the undirected CSR invariants and returns this graph:
@@ -182,26 +158,20 @@ object LocalGraph {
     * self-loops. Every endpoint must lie in `[0, n)`.
     */
   def fromEdges(n: Int, edges: Iterable[(Int, Int)]): LocalGraph = {
+    val builder = new scala.collection.mutable.ArrayBuilder.ofLong
     edges.foreach { case e @ (u, v) =>
       require(u >= 0 && u < n && v >= 0 && v < n, s"edge $e has an endpoint outside [0, $n)")
+      if (u != v) { builder += packArc(u, v); builder += packArc(v, u) }
     }
-    val deg = new Array[Int](n)
-    val clean = edges.iterator.collect {
-      case (u, v) if u != v => if (u < v) (u, v) else (v, u)
-    }.toArray.distinct
-    clean.foreach { case (u, v) => deg(u) += 1; deg(v) += 1 }
-    val offsets = new Array[Int](n + 1)
+    val arcs = builder.result()
+    java.util.Arrays.sort(arcs)
+    var count = 0
     var i = 0
-    while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
-    val adj = new Array[Int](offsets(n))
-    val cur = offsets.clone()
-    clean.foreach { case (u, v) =>
-      adj(cur(u)) = v; cur(u) += 1
-      adj(cur(v)) = u; cur(v) += 1
+    while (i < arcs.length) {
+      if (count == 0 || arcs(count - 1) != arcs(i)) { arcs(count) = arcs(i); count += 1 }
+      i += 1
     }
-    i = 0
-    while (i < n) { java.util.Arrays.sort(adj, offsets(i), offsets(i + 1)); i += 1 }
-    new LocalGraph(offsets, adj)
+    fromSortedArcs(n, arcs, count)
   }
 
   /** Arc (u, v) as one long, `u` in the high and `v` in the low 32 bits;
@@ -210,15 +180,23 @@ object LocalGraph {
   private[graph] def packArc(u: Int, v: Int): Long = (u.toLong << 32) | (v & 0xffffffffL)
 
   /** The CSR of a symmetric, duplicate-free, loop-free set of packed arcs
-    * ([[packArc]]). Sorts `arcs` in place, counts the high halves into
-    * offsets, takes the low halves as the adjacency, and validates.
+    * ([[packArc]]), for a collect that builds them unchecked: sorts `arcs`
+    * in place and validates the result.
     */
   private[graph] def fromArcs(n: Int, arcs: Array[Long]): LocalGraph = {
     java.util.Arrays.sort(arcs)
+    fromSortedArcs(n, arcs, arcs.length).validate()
+  }
+
+  /** The CSR of the first `count` entries of `arcs`, packed arcs in
+    * ascending order: counts the high halves into prefix-summed offsets and
+    * takes the low halves as the adjacency. Every CSR is laid out here.
+    */
+  private def fromSortedArcs(n: Int, arcs: Array[Long], count: Int): LocalGraph = {
     val offsets = new Array[Int](n + 1)
-    val adj = new Array[Int](arcs.length)
+    val adj = new Array[Int](count)
     var i = 0
-    while (i < arcs.length) {
+    while (i < count) {
       val u = (arcs(i) >> 32).toInt
       if (u < 0 || u >= n) throw new IllegalArgumentException(s"vertex $u lies outside [0, $n)")
       offsets(u + 1) += 1
@@ -227,7 +205,7 @@ object LocalGraph {
     }
     var v = 0
     while (v < n) { offsets(v + 1) += offsets(v); v += 1 }
-    new LocalGraph(offsets, adj).validate()
+    new LocalGraph(offsets, adj)
   }
 
   /** K_n. */

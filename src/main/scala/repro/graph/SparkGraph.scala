@@ -8,7 +8,7 @@ import org.apache.spark.sql.functions._
   * self-loops, no duplicates) plus the vertex-count `n` (IDs in `[0, n)`).
   *
   * This is GMS pipeline stage 1-2 (load + build representation) expressed in
-  * Catalyst. Only loading, the generators, degrees and link prediction's
+  * Catalyst. Only loading, the generators and link prediction's
   * edge split stay on this level; every algorithm collects a
   * [[LocalGraph]] CSR via [[toLocal]] and runs on it.
   */
@@ -17,12 +17,6 @@ final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
 
   /** Number of undirected edges m. */
   lazy val m: Long = edges.count() / 2
-
-  /** (v, degree) — vertices with at least one edge; isolated vertices have
-    * implicit degree 0.
-    */
-  def degrees: DataFrame =
-    edges.groupBy($"src" as "v").agg(count("*").cast("int") as "degree")
 
   /** Edges with src < dst, each undirected edge once. */
   def canonicalEdges: DataFrame = edges.where($"src" < $"dst")

@@ -83,12 +83,6 @@ trait SetFactory extends Serializable {
   /** Build from a **sorted, duplicate-free** array (CSR neighborhood). */
   def fromSorted(sorted: Array[Int], universe: Int): VertexSet
 
-  /** Build from arbitrary elements. */
-  def fromElems(elems: Iterable[Int], universe: Int): VertexSet = {
-    val a = elems.toArray.distinct.sorted
-    fromSorted(a, universe)
-  }
-
   def singleton(v: Int, universe: Int): VertexSet = fromSorted(Array(v), universe)
 }
 

@@ -8,8 +8,7 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM, or, when that is unset, to half of physical memory
-  * clamped to 2-8 GB. Broadcast joins are disabled, so the dataflow
-  * analytics' joins run as shuffle joins.
+  * clamped to 2-8 GB.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -19,12 +18,10 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.sql.shuffle.partitions", 64)
       .getOrCreate()
     // One line in the test output records the heap setting, master and
     // parallelism of the run.

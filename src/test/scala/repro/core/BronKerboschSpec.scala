@@ -42,9 +42,10 @@ class BronKerboschSpec extends AnyFunSuite {
     }
     val (dgr, _, _) = Reorder.degeneracyLocal(g)
     test(s"$name: subgraph-optimized variant matches brute force") {
-      val got = MaximalCliques.listLocal(g, dgr, SetFactory.dense, subgraphOpt = true)
-        .map(_.toSeq).toSet
-      assert(got == want)
+      for (f <- SetFactory.all) {
+        val got = MaximalCliques.listLocal(g, dgr, f, subgraphOpt = true).map(_.toSeq).toSet
+        assert(got == want, f.name)
+      }
     }
   }
 
@@ -104,7 +105,8 @@ class BronKerboschSpec extends AnyFunSuite {
     for (f <- SetFactory.all.drop(1)) {
       assert(MaximalCliques.listLocal(g, dgr, f).toSet == ref)
     }
-    assert(MaximalCliques.listLocal(g, dgr, SetFactory.dense, subgraphOpt = true).toSet == ref)
+    for (f <- SetFactory.all)
+      assert(MaximalCliques.listLocal(g, dgr, f, subgraphOpt = true).toSet == ref, f.name)
   }
 
   test("orderings do not change the clique set, only the traversal") {

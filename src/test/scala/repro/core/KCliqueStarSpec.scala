@@ -9,6 +9,32 @@ class KCliqueStarSpec extends SparkSpec {
   private def choose(n: Int, k: Int): Long =
     if (k < 0 || k > n) 0 else (1 to k).foldLeft(1L)((acc, i) => acc * (n - k + i) / i)
 
+  /** (clique, star set) by enumeration: every k-subset that is a clique,
+    * with the vertices adjacent to all of its members, when there is one.
+    */
+  private def bruteForce(g: LocalGraph, k: Int): Set[(List[Int], List[Int])] =
+    (0 until g.n).combinations(k)
+      .filter(c => c.combinations(2).forall(p => g.hasEdge(p(0), p(1))))
+      .map(c => (c.toList, (0 until g.n).filter(s => c.forall(g.hasEdge(_, s))).toList))
+      .filter(_._2.nonEmpty).toSet
+
+  test("listLocal and count equal a brute-force reference, every representation") {
+    for ((local, seed) <- Seq(GraphGen.erLocal(16, 0.5, 74) -> 1, GraphGen.erLocal(18, 0.45, 75) -> 2)) {
+      val g = SparkGraph.fromLocal(spark, local)
+      val rank = new scala.util.Random(seed).shuffle((0 until local.n).toList).toArray
+      for (k <- 2 to 4) {
+        val want = bruteForce(local, k)
+        assert(want.nonEmpty, s"k=$k")
+        val wantCount = KCliqueStar.Result(want.size.toLong, want.toSeq.map(_._2.size.toLong).sum)
+        for (f <- SetFactory.all) {
+          val got = KCliqueStar.listLocal(local, k, rank, f).map { case (c, st) => (c.toList, st.toList) }
+          assert(got.toSet == want && got.size == want.size, s"k=$k ${f.name}")
+          assert(KCliqueStar.count(g, k, rank, f) == wantCount, s"k=$k ${f.name}")
+        }
+      }
+    }
+  }
+
   test("K_n: every k-clique is a star with the other n-k vertices") {
     for (n <- 4 to 6; k <- 2 until n) {
       val g = GraphGen.complete(spark, n)

@@ -16,6 +16,20 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.degree(1) == 1)
   }
 
+  test("fromEdges with duplicates, reversed pairs and loops equals the clean CSR") {
+    val n = 30
+    val clean = new Random(12).shuffle(for (u <- 0 until n; v <- u + 1 until n) yield (u, v)).take(90)
+    val noisy = new Random(13).shuffle(
+      clean ++ clean.map(_.swap) ++ clean.take(20) ++ clean.takeRight(10).map(_.swap) ++ (0 until n by 4).map(v => (v, v)))
+    val g = LocalGraph.fromEdges(n, noisy)
+    assert(g.validate() eq g)
+    for (v <- 0 until n) {
+      val want = clean.collect { case (a, b) if a == v => b; case (a, b) if b == v => a }.sorted
+      assert(g.neighbors(v).toSeq == want, s"vertex $v")
+    }
+    assert(g.m == clean.size)
+  }
+
   test("fromEdges rejects an endpoint outside [0, n), naming the edge") {
     for (e <- Seq((0, 3), (-1, 2), (3, 3))) {
       val ex = intercept[IllegalArgumentException](LocalGraph.fromEdges(3, Seq((0, 1), e)))
@@ -100,6 +114,15 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("orient equals its definitional arc filter on a random graph") {
+    val g = GraphGen.erLocal(50, 0.2, 13)
+    val rank = new Random(14).shuffle((0 until 50).toList).toArray
+    val o = g.orient(rank)
+    assert(o.n == g.n)
+    for (u <- 0 until g.n)
+      assert(o.neighbors(u).toSeq == g.neighbors(u).filter(v => rank(u) < rank(v)).toSeq, s"vertex $u")
+  }
+
   test("orient under degeneracy order bounds out-degree by degeneracy") {
     val g = GraphGen.erLocal(60, 0.15, 4)
     val (rank, _, d) = Reorder.degeneracyLocal(g)
@@ -117,10 +140,24 @@ class LocalGraphSpec extends AnyFunSuite {
 
   test("inducedSubgraph preserves exactly the internal edges") {
     val g = GraphGen.erLocal(40, 0.2, 5)
-    val verts = Array(2, 5, 7, 11, 13, 20, 33)
-    val (h, ids) = g.inducedSubgraph(verts)
-    for (i <- verts.indices; j <- verts.indices if i != j) {
-      assert(h.hasEdge(i, j) == g.hasEdge(ids(i), ids(j)))
+    // Unsorted: a BFS order from the top-degree vertex over shuffled
+    // neighbours, as SI's query extraction passes it.
+    val rnd = new Random(15)
+    val bfs = {
+      val seen = scala.collection.mutable.LinkedHashSet((0 until g.n).maxBy(g.degree))
+      val queue = scala.collection.mutable.Queue(seen.head)
+      while (seen.size < 9 && queue.nonEmpty)
+        rnd.shuffle(g.neighbors(queue.dequeue()).toSeq).foreach(w => if (seen.size < 9 && seen.add(w)) queue += w)
+      seen.toArray
+    }
+    assert(bfs.toSeq != bfs.sorted.toSeq)
+    for (verts <- Seq(Array(2, 5, 7, 11, 13, 20, 33), bfs)) {
+      val (h, ids) = g.inducedSubgraph(verts)
+      assert(h.validate() eq h)
+      assert(ids.toSeq == verts.toSeq)
+      for (i <- verts.indices; j <- verts.indices if i != j) {
+        assert(h.hasEdge(i, j) == g.hasEdge(ids(i), ids(j)))
+      }
     }
   }
 
