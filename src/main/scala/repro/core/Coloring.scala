@@ -21,10 +21,9 @@ object Coloring {
     var numColors = 0
     val forbidden = new Array[Int](n + 1) // forbidden(c) == v+1 ⇒ c used at v
     byRank.zipWithIndex.foreach { case (v, stamp) =>
-      val (adj, lo, hi) = g.neighborsSlice(v)
-      var i = lo
-      while (i < hi) {
-        val c = colors(adj(i))
+      var i = g.offsets(v)
+      while (i < g.offsets(v + 1)) {
+        val c = colors(g.adj(i))
         if (c >= 0) forbidden(c) = stamp + 1
         i += 1
       }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.graph.{LocalGraph, Reorder, SetGraph, SparkGraph}
+import repro.metrics.Metrics
 import repro.setalg.{SetFactory, VertexSet}
 
 /** k-clique listing / counting (paper §6.3, Alg. 7) — the GMS reformulation
@@ -28,7 +29,7 @@ object KClique {
 
   final case class Result(cliques: Long, reorderSec: Double, mineSec: Double) {
     def totalSec: Double = reorderSec + mineSec
-    def throughput: Double = if (totalSec > 0) cliques / totalSec else 0.0
+    def throughput: Double = Metrics.throughput(cliques, totalSec)
   }
 
   /** Recursive counting kernel over the oriented SetGraph; `ci` is C_i.

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.graph.{LocalGraph, Reorder, SetGraph, SparkGraph}
 import repro.graph.Reorder.{AdgOrder, DegOrder, DgrOrder, IdOrder, Order}
+import repro.metrics.Metrics
 import repro.setalg.SetFactory
 import scala.collection.mutable.ArrayBuffer
 
@@ -52,7 +53,7 @@ object MaximalCliques {
                           reorderSec: Double, mineSec: Double) {
     def totalSec: Double = reorderSec + mineSec
     /** The paper's algorithmic-throughput metric M: cliques mined / second. */
-    def throughput: Double = if (totalSec > 0) cliques / totalSec else 0.0
+    def throughput: Double = Metrics.throughput(cliques, totalSec)
   }
 
   /** Count maximal cliques under `variant`. `tasks` caps the number of Spark
@@ -72,6 +73,7 @@ object MaximalCliques {
     */
   def mineLocal(spark: org.apache.spark.sql.SparkSession, local: LocalGraph,
                 rank: Array[Int], variant: Variant, tasks: Int = 0): Result = {
+    Reorder.requireRank(rank, local.n)
     val t1 = System.nanoTime()
     val subgraph = variant.subgraphOpt
     val stats = SeedRunner.run(spark.sparkContext, (new SetGraph(local, variant.sets), rank),
@@ -101,6 +103,7 @@ object MaximalCliques {
   /** Driver-side listing against a precomputed rank — reference for tests. */
   def listLocal(graph: LocalGraph, rank: Array[Int], factory: SetFactory,
                 subgraphOpt: Boolean = false): Seq[Seq[Int]] = {
+    Reorder.requireRank(rank, graph.n)
     val out = ArrayBuffer.empty[Seq[Int]]
     val sg = new SetGraph(graph, factory)
     (0 until graph.n).foreach(v => seed(sg, rank, v, subgraphOpt, r => out += r.toArray.toSeq.sorted))

@@ -27,20 +27,12 @@ final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Ser
     mx
   }
 
-  /** Neighbors of v as a shared read-only slice view (no copy). */
-  def neighborsSlice(v: Int): (Array[Int], Int, Int) = (adj, offsets(v), offsets(v + 1))
-
   /** Neighbors of v as a fresh array. */
   def neighbors(v: Int): Array[Int] =
     java.util.Arrays.copyOfRange(adj, offsets(v), offsets(v + 1))
 
-  def hasEdge(u: Int, v: Int): Boolean = {
-    val lo = offsets(u); val hi = offsets(u + 1)
-    binarySearchRange(adj, lo, hi, v) >= 0
-  }
-
-  private def binarySearchRange(a: Array[Int], from: Int, to: Int, key: Int): Int =
-    java.util.Arrays.binarySearch(a, from, to, key)
+  def hasEdge(u: Int, v: Int): Boolean =
+    java.util.Arrays.binarySearch(adj, offsets(u), offsets(u + 1), v) >= 0
 
   /** Every neighborhood as a [[VertexSet]], built eagerly through a
     * [[SetGraph]] — the Fig.-8c representation-size probe.
@@ -89,9 +81,11 @@ final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Ser
 
   /** Directed "later-neighbor" CSR under rank ordering: keeps (u,v) iff
     * rank(u) < rank(v). The standard clique-listing orientation (Alg. 7 line 9).
-    * The kept arcs come in CSR order, which is already sorted.
+    * `rank` must be a permutation of 0..n-1 ([[Reorder.requireRank]]). The
+    * kept arcs come in CSR order, which is already sorted.
     */
   def orient(rank: Array[Int]): LocalGraph = {
+    Reorder.requireRank(rank, n)
     val arcs = new Array[Long](adj.length)
     var count = 0
     var u = 0

@@ -98,6 +98,19 @@ object Reorder {
     (rank, rounds)
   }
 
+  /** Throws `IllegalArgumentException` unless `rank` is a permutation of
+    * 0..n-1. Kernels check on the driver, before a bad rank fails in a task.
+    */
+  def requireRank(rank: Array[Int], n: Int): Unit = {
+    require(rank.length == n, s"rank has ${rank.length} entries for $n vertices")
+    val seen = new Array[Boolean](n)
+    for (v <- 0 until n) {
+      val r = rank(v)
+      require(r >= 0 && r < n && !seen(r), s"rank($v) = $r is outside [0, $n) or repeated")
+      seen(r) = true
+    }
+  }
+
   /** Ranks ascending by `key`, ties by vertex ID. */
   private def rankBy(key: Array[Long]): Array[Int] = {
     val n = key.length
@@ -152,10 +165,9 @@ object Reorder {
       degeneracy = math.max(degeneracy, curMin)
       coreness(v) = degeneracy
       rank(v) = i
-      val (adj, lo, hi) = g.neighborsSlice(v)
-      var j = lo
-      while (j < hi) {
-        val w = adj(j)
+      var j = g.offsets(v)
+      while (j < g.offsets(v + 1)) {
+        val w = g.adj(j)
         if (!removed(w)) {
           popFromBucket(w, deg(w))
           deg(w) -= 1

@@ -1,7 +1,5 @@
 package repro.setalg
 
-import java.util.Arrays
-
 /** The paper's dense bitvector set: one bit per vertex of the universe.
   *
   * O(1) `add` / `remove` / `contains` (the property the paper leans on for
@@ -19,25 +17,15 @@ final class DenseBitSet private[setalg] (private val words: Array[Long],
     w < words.length && ((words(w) >>> (b & 63)) & 1L) == 1L
   }
 
-  private def asDense(b: VertexSet): DenseBitSet = b match {
-    case d: DenseBitSet => d
-    case other =>
-      val out = new Array[Long](words.length)
-      var c = 0
-      other.iterator.foreach { v =>
-        val w = v >>> 6
-        if (w < out.length) { out(w) |= 1L << (v & 63); c += 1 }
-      }
-      new DenseBitSet(out, c)
-  }
+  private def asWords(b: VertexSet): Array[Long] = b.asInstanceOf[DenseBitSet].words
 
   private def zipNew(b: VertexSet)(op: (Long, Long) => Long): DenseBitSet = {
-    val d = asDense(b)
+    val bw = asWords(b)
     val n = words.length
     val out = new Array[Long](n)
     var c = 0; var i = 0
     while (i < n) {
-      val w = op(words(i), if (i < d.words.length) d.words(i) else 0L)
+      val w = op(words(i), if (i < bw.length) bw(i) else 0L)
       out(i) = w; c += java.lang.Long.bitCount(w); i += 1
     }
     new DenseBitSet(out, c)
@@ -47,34 +35,13 @@ final class DenseBitSet private[setalg] (private val words: Array[Long],
   override def diff(b: VertexSet): VertexSet      = zipNew(b)(_ & ~_)
   override def union(b: VertexSet): VertexSet     = zipNew(b)(_ | _)
 
-  override def intersectCount(b: VertexSet): Int = b match {
-    case d: DenseBitSet =>
-      var c = 0; var i = 0
-      val n = math.min(words.length, d.words.length)
-      while (i < n) { c += java.lang.Long.bitCount(words(i) & d.words(i)); i += 1 }
-      c
-    case other if other.cardinality < cardinality =>
-      var c = 0
-      other.iterator.foreach(v => if (contains(v)) c += 1)
-      c
-    case other =>
-      var c = 0
-      iterator.foreach(v => if (other.contains(v)) c += 1)
-      c
-  }
-
-  private def zipInplace(b: VertexSet)(op: (Long, Long) => Long): Unit = {
-    val d = asDense(b)
+  override def intersectCount(b: VertexSet): Int = {
+    val bw = asWords(b)
     var c = 0; var i = 0
-    while (i < words.length) {
-      val w = op(words(i), if (i < d.words.length) d.words(i) else 0L)
-      words(i) = w; c += java.lang.Long.bitCount(w); i += 1
-    }
-    card = c
+    val n = math.min(words.length, bw.length)
+    while (i < n) { c += java.lang.Long.bitCount(words(i) & bw(i)); i += 1 }
+    c
   }
-
-  override def intersectInplace(b: VertexSet): Unit = zipInplace(b)(_ & _)
-  override def diffInplace(b: VertexSet): Unit      = zipInplace(b)(_ & ~_)
 
   override def add(b: Int): Unit = {
     val w = b >>> 6
@@ -105,21 +72,14 @@ final class DenseBitSet private[setalg] (private val words: Array[Long],
     }
   }
 
-  override def copy(): VertexSet = new DenseBitSet(words.clone(), card)
-
   def storageBytes: Long = 16L + 8L * words.length
 }
 
 object DenseBitSet extends SetFactory {
   override def name = "DenseBitSet"
 
-  private def nWords(universe: Int): Int = math.max(1, (universe + 63) >>> 6)
-
-  override def empty(universe: Int): VertexSet =
-    new DenseBitSet(new Array[Long](nWords(universe)), 0)
-
   override def fromSorted(sorted: Array[Int], universe: Int): VertexSet = {
-    val words = new Array[Long](nWords(universe))
+    val words = new Array[Long](math.max(1, (universe + 63) >>> 6))
     var i = 0
     while (i < sorted.length) {
       val v = sorted(i)

@@ -98,18 +98,6 @@ final class HashVertexSet private[setalg] (initialCapacity: Int) extends VertexS
     out
   }
 
-  override def intersectInplace(b: VertexSet): Unit = {
-    val keep = iterator.filter(b.contains).toArray
-    java.util.Arrays.fill(table, -1)
-    size = 0
-    keep.foreach(add)
-  }
-
-  override def diffInplace(b: VertexSet): Unit = {
-    val drop = iterator.filter(b.contains).toArray
-    drop.foreach(remove)
-  }
-
   /** Ascending order, per the interface contract (sorts on demand). */
   override def iterator: Iterator[Int] = {
     val out = new Array[Int](size)
@@ -119,19 +107,11 @@ final class HashVertexSet private[setalg] (initialCapacity: Int) extends VertexS
     out.iterator
   }
 
-  override def copy(): VertexSet = {
-    val out = new HashVertexSet(size)
-    var i = 0
-    while (i < table.length) { if (table(i) >= 0) out.add(table(i)); i += 1 }
-    out
-  }
-
   def storageBytes: Long = 24L + 4L * table.length
 }
 
 object HashVertexSet extends SetFactory {
   override def name = "HashSet"
-  override def empty(universe: Int): VertexSet = new HashVertexSet(8)
   override def fromSorted(sorted: Array[Int], universe: Int): VertexSet = {
     val s = new HashVertexSet(sorted.length)
     sorted.foreach(s.add)

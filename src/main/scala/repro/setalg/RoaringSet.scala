@@ -15,10 +15,7 @@ final class RoaringSet private[setalg] (private val bm: RoaringBitmap) extends V
 
   override def contains(b: Int): Boolean = bm.contains(b)
 
-  private def asRoaring(b: VertexSet): RoaringBitmap = b match {
-    case r: RoaringSet => r.bm
-    case other         => RoaringBitmap.bitmapOf(other.toArray: _*)
-  }
+  private def asRoaring(b: VertexSet): RoaringBitmap = b.asInstanceOf[RoaringSet].bm
 
   override def intersect(b: VertexSet): VertexSet =
     new RoaringSet(RoaringBitmap.and(bm, asRoaring(b)))
@@ -32,12 +29,6 @@ final class RoaringSet private[setalg] (private val bm: RoaringBitmap) extends V
   override def union(b: VertexSet): VertexSet =
     new RoaringSet(RoaringBitmap.or(bm, asRoaring(b)))
 
-  override def unionCount(b: VertexSet): Int =
-    RoaringBitmap.orCardinality(bm, asRoaring(b))
-
-  override def intersectInplace(b: VertexSet): Unit = bm.and(asRoaring(b))
-  override def diffInplace(b: VertexSet): Unit      = bm.andNot(asRoaring(b))
-
   override def add(b: Int): Unit    = bm.add(b)
   override def remove(b: Int): Unit = bm.remove(b)
 
@@ -49,15 +40,11 @@ final class RoaringSet private[setalg] (private val bm: RoaringBitmap) extends V
 
   override def toArray: Array[Int] = bm.toArray
 
-  override def copy(): VertexSet = new RoaringSet(bm.clone())
-
   def storageBytes: Long = bm.getSizeInBytes
 }
 
 object RoaringSet extends SetFactory {
   override def name = "RoaringSet"
-
-  override def empty(universe: Int): VertexSet = new RoaringSet(new RoaringBitmap())
 
   override def fromSorted(sorted: Array[Int], universe: Int): VertexSet = {
     val bm = RoaringBitmap.bitmapOf(sorted: _*)

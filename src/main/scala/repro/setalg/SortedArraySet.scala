@@ -20,10 +20,7 @@ final class SortedArraySet private[setalg] (private var elems: Array[Int]) exten
 
   override def contains(b: Int): Boolean = Arrays.binarySearch(elems, b) >= 0
 
-  private def asSorted(b: VertexSet): Array[Int] = b match {
-    case s: SortedArraySet => s.elems
-    case other             => other.toArray
-  }
+  private def asSorted(b: VertexSet): Array[Int] = b.asInstanceOf[SortedArraySet].elems
 
   private def mergeIntersect(a: Array[Int], b: Array[Int]): Array[Int] = {
     val out = new Array[Int](math.min(a.length, b.length))
@@ -47,54 +44,39 @@ final class SortedArraySet private[setalg] (private var elems: Array[Int]) exten
     Arrays.copyOf(out, k)
   }
 
-  private def intersectArrays(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val (s, l) = if (a.length <= b.length) (a, b) else (b, a)
-    if (s.length.toLong * gallopThreshold < l.length) gallopIntersect(s, l)
-    else mergeIntersect(a, b)
+  override def intersect(b: VertexSet): VertexSet = {
+    val a = elems; val bb = asSorted(b)
+    val (s, l) = if (a.length <= bb.length) (a, bb) else (bb, a)
+    new SortedArraySet(if (s.length.toLong * gallopThreshold < l.length) gallopIntersect(s, l)
+                       else mergeIntersect(a, bb))
   }
 
-  override def intersect(b: VertexSet): VertexSet =
-    new SortedArraySet(intersectArrays(elems, asSorted(b)))
-
-  override def intersectCount(b: VertexSet): Int = b match {
-    case s: SortedArraySet =>
-      val a = elems; val bb = s.elems
-      val (sm, lg) = if (a.length <= bb.length) (a, bb) else (bb, a)
-      if (sm.length.toLong * gallopThreshold < lg.length) {
-        var c = 0; var i = 0
-        while (i < sm.length) { if (Arrays.binarySearch(lg, sm(i)) >= 0) c += 1; i += 1 }
-        c
-      } else {
-        var i = 0; var j = 0; var c = 0
-        while (i < a.length && j < bb.length) {
-          val x = a(i); val y = bb(j)
-          if (x == y) { c += 1; i += 1; j += 1 } else if (x < y) i += 1 else j += 1
-        }
-        c
-      }
-    case other =>
+  override def intersectCount(b: VertexSet): Int = {
+    val a = elems; val bb = asSorted(b)
+    val (sm, lg) = if (a.length <= bb.length) (a, bb) else (bb, a)
+    if (sm.length.toLong * gallopThreshold < lg.length) {
       var c = 0; var i = 0
-      while (i < elems.length) { if (other.contains(elems(i))) c += 1; i += 1 }
+      while (i < sm.length) { if (Arrays.binarySearch(lg, sm(i)) >= 0) c += 1; i += 1 }
       c
+    } else {
+      var i = 0; var j = 0; var c = 0
+      while (i < a.length && j < bb.length) {
+        val x = a(i); val y = bb(j)
+        if (x == y) { c += 1; i += 1; j += 1 } else if (x < y) i += 1 else j += 1
+      }
+      c
+    }
   }
 
   override def diff(b: VertexSet): VertexSet = {
+    val bb = asSorted(b)
     val out = new Array[Int](elems.length)
-    var k = 0; var i = 0
-    b match {
-      case s: SortedArraySet =>
-        val bb = s.elems; var j = 0
-        while (i < elems.length) {
-          val x = elems(i)
-          while (j < bb.length && bb(j) < x) j += 1
-          if (j >= bb.length || bb(j) != x) { out(k) = x; k += 1 }
-          i += 1
-        }
-      case other =>
-        while (i < elems.length) {
-          if (!other.contains(elems(i))) { out(k) = elems(i); k += 1 }
-          i += 1
-        }
+    var k = 0; var i = 0; var j = 0
+    while (i < elems.length) {
+      val x = elems(i)
+      while (j < bb.length && bb(j) < x) j += 1
+      if (j >= bb.length || bb(j) != x) { out(k) = x; k += 1 }
+      i += 1
     }
     new SortedArraySet(Arrays.copyOf(out, k))
   }
@@ -113,12 +95,6 @@ final class SortedArraySet private[setalg] (private var elems: Array[Int]) exten
     while (j < bb.length) { out(k) = bb(j); k += 1; j += 1 }
     new SortedArraySet(Arrays.copyOf(out, k))
   }
-
-  override def intersectInplace(b: VertexSet): Unit =
-    elems = intersectArrays(elems, asSorted(b))
-
-  override def diffInplace(b: VertexSet): Unit =
-    elems = diff(b).asInstanceOf[SortedArraySet].elems
 
   override def add(b: Int): Unit = {
     val pos = Arrays.binarySearch(elems, b)
@@ -144,7 +120,6 @@ final class SortedArraySet private[setalg] (private var elems: Array[Int]) exten
 
   override def iterator: Iterator[Int] = elems.iterator
   override def toArray: Array[Int] = elems.clone()
-  override def copy(): VertexSet = new SortedArraySet(elems.clone())
 
   /** Approximate heap bytes of the backing storage (for Fig. 8c memory bench). */
   def storageBytes: Long = 16L + 4L * elems.length
@@ -152,7 +127,6 @@ final class SortedArraySet private[setalg] (private var elems: Array[Int]) exten
 
 object SortedArraySet extends SetFactory {
   override def name = "SortedSet"
-  override def empty(universe: Int): VertexSet = new SortedArraySet(Array.emptyIntArray)
   override def fromSorted(sorted: Array[Int], universe: Int): VertexSet =
     new SortedArraySet(sorted.clone())
 }

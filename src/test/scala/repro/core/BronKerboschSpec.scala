@@ -14,7 +14,7 @@ class BronKerboschSpec extends AnyFunSuite {
   private def bruteForce(g: LocalGraph): Set[Set[Int]] = {
     val verts = (0 until g.n).toList
     def isClique(s: List[Int]): Boolean =
-      s.combinations(2).forall { case List(a, b) => g.hasEdge(a, b) }
+      s.combinations(2).forall(p => g.hasEdge(p(0), p(1)))
     val cliques = verts.toSet.subsets().filter(_.nonEmpty)
       .filter(s => isClique(s.toList)).toList
     cliques.filter { c =>

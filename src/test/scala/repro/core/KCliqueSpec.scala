@@ -107,6 +107,16 @@ class KCliqueSpec extends SparkSpec {
     assert(r.throughput >= 0)
   }
 
+  test("a short or repeated rank is rejected on the driver") {
+    val local = GraphGen.erLocal(20, 0.3, 12)
+    val g = SparkGraph.fromLocal(spark, local)
+    for (rank <- Seq(Array.range(0, 19), new Array[Int](20))) {
+      assertThrows[IllegalArgumentException](KClique.count(g, 3, rank))
+      assertThrows[IllegalArgumentException](KClique.listLocal(local, 3, rank))
+      assertThrows[IllegalArgumentException](KCliqueStar.count(g, 3, rank))
+    }
+  }
+
   test("planted K12 gives the expected spike in 6-cliques") {
     val g = GraphGen.plantedCliques(spark, n = 80, bgEdges = 0, cliques = 1, sizes = Seq(12))
     val rank = Array.range(0, 80)

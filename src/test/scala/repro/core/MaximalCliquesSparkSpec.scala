@@ -56,6 +56,13 @@ class MaximalCliquesSparkSpec extends SparkSpec {
     assert(r.maxSize == 2)
   }
 
+  test("a short or repeated rank is rejected on the driver") {
+    for (rank <- Seq(Array.range(0, local.n - 1), new Array[Int](local.n)); variant <- MaximalCliques.allVariants) {
+      assertThrows[IllegalArgumentException](MaximalCliques.mineLocal(spark, local, rank, variant))
+      assertThrows[IllegalArgumentException](MaximalCliques.listLocal(local, rank, variant.sets, variant.subgraphOpt))
+    }
+  }
+
   test("variants on a denser graph all agree") {
     val dense = SparkGraph.fromLocal(spark, GraphGen.erLocal(60, 0.25, 22))
     val counts = MaximalCliques.allVariants.map(v => MaximalCliques.run(dense, v).cliques)
