@@ -15,7 +15,7 @@ class BkBench extends SparkSpec {
     val rows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
     for (ng <- BenchGraphs.all) {
       val g = ng.build(spark)
-      g.toLocal // warm the cached edge set
+      g.toLocal // collect the graph's CSR, which every variant's run then reuses
       val results = MaximalCliques.allVariants.map(v => (v, MaximalCliques.run(g, v)))
       val base = results.find(_._1.name == "BK-DAS").get._2
       // All variants must agree on the clique count — a bench that lies is useless.

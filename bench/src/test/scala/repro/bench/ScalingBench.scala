@@ -1,7 +1,7 @@
 package repro.bench
 
 import java.util.concurrent.atomic.AtomicLong
-import org.apache.spark.bench.ListenerBus
+import org.apache.spark.repro.ListenerBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
 import repro.SparkSpec
 import repro.core.MaximalCliques

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
 import repro.graph.{LocalGraph, Reorder, SetGraph, SparkGraph}
 import repro.metrics.Metrics
 import repro.setalg.{SetFactory, VertexSet}
@@ -62,39 +61,35 @@ object KClique {
   private def countFromEdge(sg: SetGraph, k: Int, u: Int, v: Int): Long =
     countRec(sg, 3, k, sg.neighbors(u).intersect(sg.neighbors(v)))
 
-  /** Distributed k-clique count. `rank` is the preprocessing order (computed
-    * and timed by the caller, e.g. via [[Reorder.rank]], so benches can
-    * report the reorder fraction, Fig. 5).
+  /** Distributed k-clique count on the graph's CSR. `rank` is the
+    * preprocessing order (computed and timed by the caller, e.g. via
+    * [[Reorder.rank]], so benches can report the reorder fraction, Fig. 5).
+    * The units are the vertices (node-parallel) or the arcs of the oriented
+    * CSR (edge-parallel); on a graph whose CSR is held this is one Spark job.
     */
   def count(g: SparkGraph, k: Int, rank: Array[Int], mode: Mode = EdgeParallel,
-            factory: SetFactory = SetFactory.sorted, tasks: Int = 0): Long =
-    countLocal(g.spark, g.toLocal, k, rank, mode, factory, tasks)
-
-  /** [[count]] against a pre-collected CSR. The units are the vertices
-    * (node-parallel) or the arcs of the oriented CSR (edge-parallel).
-    */
-  def countLocal(spark: SparkSession, local: LocalGraph, k: Int, rank: Array[Int],
-                 mode: Mode = EdgeParallel, factory: SetFactory = SetFactory.sorted,
-                 tasks: Int = 0): Long = {
+            factory: SetFactory = SetFactory.sorted, tasks: Int = 0): Long = {
     require(k >= 2, "k-clique needs k ≥ 2")
+    val local = g.toLocal
     if (k == 2) return local.m
     val oriented = local.orient(rank)
     val sg = new SetGraph(oriented, factory)
+    val sc = g.spark.sparkContext
     val partials = mode match {
       case NodeParallel =>
-        SeedRunner.run(spark.sparkContext, sg, oriented.n, tasks) { (sg, seeds) =>
+        SeedRunner.run(sc, sg, oriented.n, tasks) { (sg, seeds) =>
           seeds.map(countFromVertex(sg, k, _)).sum
         }
       case EdgeParallel =>
-        SeedRunner.run(spark.sparkContext, sg, oriented.adj.length, tasks) { (sg, arcs) =>
+        SeedRunner.run(sc, sg, oriented.adj.length, tasks) { (sg, arcs) =>
           SeedRunner.sumArcs(sg.graph, arcs)(countFromEdge(sg, k, _, _))
         }
     }
     partials.sum
   }
 
-  /** Full pipeline: collect the CSR once, then order + count on it, with
-    * timings (bench entry point). The collect is in neither timing.
+  /** Full pipeline: order + count on the graph's CSR, with timings (bench
+    * entry point). The CSR's first collect is in neither timing.
     */
   def run(g: SparkGraph, k: Int, order: Reorder.Order,
           mode: Mode = EdgeParallel, factory: SetFactory = SetFactory.sorted,
@@ -104,7 +99,7 @@ object KClique {
     val rank = Reorder.rank(local, order)
     val reorderSec = (System.nanoTime() - t0) / 1e9
     val t1 = System.nanoTime()
-    val c = countLocal(g.spark, local, k, rank, mode, factory, tasks)
+    val c = count(g, k, rank, mode, factory, tasks)
     Result(c, reorderSec, (System.nanoTime() - t1) / 1e9)
   }
 

@@ -12,8 +12,12 @@ import repro.graph.SparkGraph
   */
 object LabelPropagation {
 
-  /** (v, community) after propagation. */
-  def run(g: SparkGraph, maxIter: Int = 20): DataFrame = {
+  /** (v, community) after propagation, and the number of synchronous rounds
+    * run: the round that changes no label is counted, so a graph that
+    * settles reports one more round than it changed labels in, and one that
+    * never settles reports `maxIter`.
+    */
+  def run(g: SparkGraph, maxIter: Int = 20): (DataFrame, Int) = {
     val local = g.toLocal
     var label = Array.range(0, local.n)
     var next = new Array[Int](local.n)
@@ -43,6 +47,6 @@ object LabelPropagation {
       val t = label; label = next; next = t
       iter += 1
     }
-    g.perVertex("community", label)
+    (g.perVertex("community", label), iter)
   }
 }

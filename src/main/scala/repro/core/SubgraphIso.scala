@@ -75,21 +75,23 @@ object SubgraphIso {
     * there is one. A q with none (the root, or a new component of a
     * disconnected query) scans `cand(q)`, or every target vertex.
     *
+    * `mapping` (query → target, -1 when unmapped) and `used` (the O(n)
+    * marks of mapped target vertices) are a task's scratch, shared by its
+    * units: they are clear on entry, and whatever the prefix install marked
+    * is cleared again on exit.
+    *
     * @param prefix mapped target vertices for searchOrder positions 0..prefix.length-1;
     *               a two-vertex prefix must be an edge of the target
     */
-  private[core] def countFrom(sg: SetGraph, gLabels: Array[Int], p: Pattern,
-                              order: Array[Int], induced: Boolean,
-                              cand: Array[VertexSet],   // null ⇒ no precompute
-                              prefix: Array[Int]): Long = {
+  private def countFrom(sg: SetGraph, gLabels: Array[Int], p: Pattern,
+                        order: Array[Int], earlier: Array[(Array[Int], Array[Int])],
+                        induced: Boolean,
+                        cand: Array[VertexSet],   // null ⇒ no precompute
+                        mapping: Array[Int], used: Array[Boolean],
+                        prefix: Array[Int]): Long = {
     val g = sg.graph
     val h = p.graph
     val qn = h.n
-    // For each position: the query vertices earlier in the order that are
-    // neighbors of order(pos), and those that are not.
-    val earlier = Array.tabulate(qn)(pos => order.take(pos).partition(h.hasEdge(order(pos), _)))
-    val mapping = Array.fill(qn)(-1)
-    val used = new Array[Boolean](g.n)
     var count = 0L
 
     // Adjacency to every mapped query neighbor is not checked here: the
@@ -135,16 +137,17 @@ object SubgraphIso {
       }
     }
 
-    // Install the prefix (verifying feasibility so invalid units yield 0).
-    var ok = true
-    var i = 0
-    while (ok && i < prefix.length) {
-      val q = order(i)
-      if (feasible(q, prefix(i), i)) { mapping(q) = prefix(i); used(prefix(i)) = true }
-      else ok = false
-      i += 1
+    // Install the prefix as far as it is feasible (an invalid unit yields 0).
+    var installed = 0
+    while (installed < prefix.length && feasible(order(installed), prefix(installed), installed)) {
+      mapping(order(installed)) = prefix(installed); used(prefix(installed)) = true
+      installed += 1
     }
-    if (ok) rec(prefix.length)
+    if (installed == prefix.length) rec(installed)
+    while (installed > 0) {
+      installed -= 1
+      mapping(order(installed)) = -1; used(prefix(installed)) = false
+    }
     count
   }
 
@@ -202,13 +205,18 @@ object SubgraphIso {
     val nUnits = if (byArc) local.adj.length else local.n
     val static = variant == Base || variant == WorkSplit
     def chunk(t: Int): Int = (t.toLong * nUnits / nTasks).toInt
-    val data = (new SetGraph(local, factory), gLabels, pattern, cand)
+    // For each position: the query vertices earlier in the order that are
+    // neighbors of order(pos), and those that are not.
+    val earlier = Array.tabulate(order.length)(pos => order.take(pos).partition(pattern.graph.hasEdge(order(pos), _)))
+    val data = (new SetGraph(local, factory), gLabels, pattern, earlier, cand)
     SeedRunner.run(sc, data, if (static) nTasks else nUnits, nTasks) {
-      case ((sg, labels, p, cand), mine) =>
+      case ((sg, labels, p, earlier, cand), mine) =>
         val units = if (static) mine.flatMap(t => Iterator.range(chunk(t), chunk(t + 1))) else mine
-        if (byArc) SeedRunner.sumArcs(sg.graph, units)((u, v) =>
-          countFrom(sg, labels, p, order, induced, cand, Array(u, v)))
-        else units.map(v => countFrom(sg, labels, p, order, induced, cand, Array(v))).sum
+        val mapping = Array.fill(p.graph.n)(-1)
+        val used = new Array[Boolean](sg.n)
+        def count(prefix: Array[Int]) = countFrom(sg, labels, p, order, earlier, induced, cand, mapping, used, prefix)
+        if (byArc) SeedRunner.sumArcs(sg.graph, units)((u, v) => count(Array(u, v)))
+        else units.map(v => count(Array(v))).sum
     }.sum
   }
 

@@ -184,8 +184,8 @@ object Reorder {
   /** A peeling order as a `(v, rank)` DataFrame plus its round count. */
   final case class PeelResult(order: DataFrame, iterations: Int)
 
-  /** ADG on a [[SparkGraph]]: collect the CSR, peel it, and lift the rank to
-    * a DataFrame. Kernels use [[rank]] on the CSR they already hold.
+  /** ADG on a [[SparkGraph]]: peel the graph's CSR and lift the rank to a
+    * DataFrame. Kernels use [[rank]] on the CSR they already hold.
     */
   def adg(g: SparkGraph, eps: Double = 0.1): PeelResult = {
     val (rank, rounds) = peel(g.toLocal, AdgOrder(eps))

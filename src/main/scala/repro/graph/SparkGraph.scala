@@ -9,8 +9,10 @@ import org.apache.spark.sql.functions._
   *
   * This is GMS pipeline stage 1-2 (load + build representation) expressed in
   * Catalyst. Only loading, the generators and link prediction's
-  * edge split stay on this level; every algorithm collects a
-  * [[LocalGraph]] CSR via [[toLocal]] and runs on it.
+  * edge split stay on this level; every algorithm runs on the graph's one
+  * [[LocalGraph]] CSR, [[toLocal]], which is collected on first use and
+  * then held, so a kernel run again on the same graph submits only its own
+  * jobs.
   */
 final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
   import spark.implicits._
@@ -21,18 +23,24 @@ final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
   /** Edges with src < dst, each undirected edge once. */
   def canonicalEdges: DataFrame = edges.where($"src" < $"dst")
 
-  /** Collect to a driver-side CSR for broadcast into the kernels.
+  /** The graph's driver-side CSR, which the kernels broadcast.
     *
-    * One Spark job: each partition packs its arcs (both directions, as the
-    * edge set is symmetric) into one `Array[Long]` of `src << 32 | dst`. The
-    * driver concatenates the arrays and sorts them once, so the high halves
-    * give the offsets and the low halves the adjacency. Nothing here
-    * dedupes or symmetrises, so the result goes through
-    * [[LocalGraph.validate]]: an edge set that is not canonical (possible
-    * through the public constructor) fails with the first bad vertex named.
-    * The CSR is collected anew on every call.
+    * Collected by the first use, in one Spark job: each partition packs its
+    * arcs (both directions, as the edge set is symmetric) into one
+    * `Array[Long]` of `src << 32 | dst`. The driver concatenates the arrays
+    * and sorts them once, so the high halves give the offsets and the low
+    * halves the adjacency. Nothing here dedupes or symmetrises, so the
+    * result goes through [[LocalGraph.validate]]: an edge set that is not
+    * canonical (possible through the public constructor) fails with the
+    * first bad vertex named.
+    *
+    * The edge set is immutable, so the validated CSR is held and every later
+    * use returns the same instance; initialisation runs once, also when
+    * threads race for it. A collect that throws is not held, and the next
+    * use collects (and throws) again. The instance is shared: no code may
+    * write to its `offsets` or `adj`.
     */
-  def toLocal: LocalGraph = {
+  lazy val toLocal: LocalGraph = {
     val parts = edges.select($"src".cast("int"), $"dst".cast("int")).queryExecution.toRdd
       .mapPartitions { rows =>
         val arcs = new scala.collection.mutable.ArrayBuilder.ofLong
@@ -61,9 +69,9 @@ object SparkGraph {
     * offending edge. It is raised by the first action on the graph (or, for
     * a driver-local input, while its plan is optimised); there is no
     * separate validation job. The edge set is cached in
-    * `defaultParallelism` partitions (one per core in local mode): every
-    * algorithm re-reads it, and [[SparkGraph.toLocal]] collects it with one
-    * task per partition.
+    * `defaultParallelism` partitions (one per core in local mode): `m` and
+    * link prediction's split read it, and [[SparkGraph.toLocal]] collects it
+    * once, with one task per partition.
     */
   def fromEdgeList(spark: SparkSession, raw: DataFrame, n: Int): SparkGraph = {
     def outside(c: Column): Column = c.isNull || c < 0 || c >= n

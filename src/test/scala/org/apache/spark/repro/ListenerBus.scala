@@ -1,9 +1,10 @@
-package org.apache.spark.bench
+package org.apache.spark.repro
 
 import org.apache.spark.SparkContext
 
 /** Reaches Spark's listener bus, which is private to the `org.apache.spark`
-  * package, so a bench can wait for event delivery instead of sleeping.
+  * package, so a test or bench can wait for event delivery instead of
+  * sleeping.
   */
 object ListenerBus {
 

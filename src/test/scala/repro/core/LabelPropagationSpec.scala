@@ -7,7 +7,7 @@ class LabelPropagationSpec extends SparkSpec {
 
   private def communities(g: SparkGraph, maxIter: Int = 20): Map[Int, Int] = {
     import spark.implicits._
-    LabelPropagation.run(g, maxIter).as[(Int, Int)].collect().toMap
+    LabelPropagation.run(g, maxIter)._1.as[(Int, Int)].collect().toMap
   }
 
   test("two disjoint cliques form two communities") {
@@ -62,5 +62,19 @@ class LabelPropagationSpec extends SparkSpec {
     assert(communities(g, maxIter = 0) == Map(0 -> 0, 1 -> 1))
     assert(communities(g, maxIter = 1) == Map(0 -> 1, 1 -> 0))
     assert(communities(g, maxIter = 2) == Map(0 -> 0, 1 -> 1))
+  }
+
+  test("a single edge never settles, so it reports maxIter rounds") {
+    val g = SparkGraph.fromLocal(spark, LocalGraph.path(2))
+    for (maxIter <- Seq(0, 1, 7)) assert(LabelPropagation.run(g, maxIter)._2 == maxIter)
+  }
+
+  test("the round count includes the round that changes nothing") {
+    // K4 from labels = IDs: in round 1 vertex 0 takes 1 and the others take
+    // 0 (all tie at one); in round 2 vertex 0 sees three 0s and the others
+    // two, so all take 0; round 3 changes nothing.
+    assert(LabelPropagation.run(GraphGen.complete(spark, 4))._2 == 3)
+    // No edge: round 1 changes nothing.
+    assert(LabelPropagation.run(SparkGraph.fromLocal(spark, LocalGraph.fromEdges(3, Seq.empty)))._2 == 1)
   }
 }

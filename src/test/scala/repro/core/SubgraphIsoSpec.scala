@@ -101,6 +101,20 @@ class SubgraphIsoSpec extends SparkSpec {
     assert(SubgraphIso.count(g, Array(1, 0, 1, 1), q, induced = false) == 3)
   }
 
+  test("a unit whose prefix fails leaves no mark for the task's next unit") {
+    // Path 0-1-2 labelled A, A, B; the query is one A-B edge. In one task the
+    // arc units run in order: (0, 1) and (1, 0) install q₀ and then fail on
+    // q₁'s label, and (1, 2), the one embedding, maps q₀ to vertex 1 again.
+    val target = LocalGraph.path(3)
+    val g = SparkGraph.fromLocal(spark, target)
+    val labels = Array(0, 0, 1)
+    val edgeQ = SubgraphIso.Pattern(LocalGraph.path(2), Array(0, 1))
+    assert(SubgraphIso.bruteForce(target, labels, edgeQ, induced = false) == 1)
+    for (v <- SubgraphIso.allVariants; f <- SetFactory.all)
+      assert(SubgraphIso.count(g, labels, edgeQ, induced = false, v, f, tasks = 1) == 1,
+             s"variant=${v.name} sets=${f.name}")
+  }
+
   test("search order starts at max degree and stays connected") {
     val q = LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (1, 3), (3, 4)))
     val ord = SubgraphIso.searchOrder(q)

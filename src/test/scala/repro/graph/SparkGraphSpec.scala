@@ -1,7 +1,9 @@
 package repro.graph
 
+import org.apache.spark.repro.ListenerBus
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.core.KClique
 
 class SparkGraphSpec extends SparkSpec {
 
@@ -84,8 +86,27 @@ class SparkGraphSpec extends SparkSpec {
   test("toLocal rejects an edge set that is not canonical") {
     import spark.implicits._
     val oneWay = SparkGraph(spark, Seq((0, 1), (1, 2), (2, 1)).toDF("src", "dst"), 3)
-    assert(intercept[IllegalArgumentException](oneWay.toLocal).getMessage.contains("vertex 0"))
     val outside = SparkGraph(spark, Seq((0, 1), (1, 0), (3, 0)).toDF("src", "dst"), 3)
-    assert(intercept[IllegalArgumentException](outside.toLocal).getMessage.contains("vertex 3"))
+    for (_ <- 1 to 2) {
+      assert(intercept[IllegalArgumentException](oneWay.toLocal).getMessage.contains("vertex 0"))
+      assert(intercept[IllegalArgumentException](outside.toLocal).getMessage.contains("vertex 3"))
+    }
+  }
+
+  test("toLocal is collected once and then held: later uses submit no collect job") {
+    val sc = spark.sparkContext
+    // The Spark jobs `body` submits, counted under a job group of its own.
+    def jobs(group: String)(body: => Any): Int = {
+      sc.setJobGroup(s"SparkGraphSpec: $group", group)
+      try body finally sc.clearJobGroup()
+      ListenerBus.drain(sc)
+      sc.statusTracker.getJobIdsForGroup(s"SparkGraphSpec: $group").length
+    }
+    val h = GraphGen.rmat(spark, 8, 8)
+    assert(jobs("first toLocal")(h.toLocal) > 0)
+    assert(jobs("second toLocal")(h.toLocal) == 0)
+    assert(h.toLocal eq h.toLocal)
+    val rank = Reorder.rank(h.toLocal, Reorder.DegOrder)
+    assert(jobs("k-clique count")(KClique.count(h, 4, rank)) == 1)
   }
 }
