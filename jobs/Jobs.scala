@@ -13,10 +13,6 @@ object Jobs {
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      // The partitions of fromEdgeList's distinct(), the one shuffle: the
-      // test suite ran about 5% faster with 64 than with Spark's default
-      // 200 on 4 vCPUs.
-      .config("spark.sql.shuffle.partitions", 64)
       .getOrCreate()
 
   /** Named graphs; `scale` ∈ {test, bench} roughly SF 0.01 / 0.1. */

@@ -68,12 +68,19 @@ object SubgraphIso {
     order.toArray
   }
 
+  /** SI-Pre's precompute: `cand(q)` holds the target vertices with q's
+    * label, sufficient degree and sufficient neighbor-degree sum (a cheap
+    * VF3-style invariant), where `gSig` and `hSig` are the neighbor-degree
+    * sums of target and query.
+    */
+  private final case class Precomputed(cand: Array[VertexSet], gSig: Array[Long], hSig: Array[Long])
+
   /** Count embeddings extending a fixed prefix of the search order.
     *
     * The candidates for query vertex q are ∩ N(φ(p)) over the query
     * neighbors p of q mapped before it, read from `sg` without copying when
     * there is one. A q with none (the root, or a new component of a
-    * disconnected query) scans `cand(q)`, or every target vertex.
+    * disconnected query) scans `pre.cand(q)`, or every target vertex.
     *
     * `mapping` (query → target, -1 when unmapped) and `used` (the O(n)
     * marks of mapped target vertices) are a task's scratch, shared by its
@@ -86,7 +93,7 @@ object SubgraphIso {
   private def countFrom(sg: SetGraph, gLabels: Array[Int], p: Pattern,
                         order: Array[Int], earlier: Array[(Array[Int], Array[Int])],
                         induced: Boolean,
-                        cand: Array[VertexSet],   // null ⇒ no precompute
+                        pre: Precomputed,   // null ⇒ no precompute
                         mapping: Array[Int], used: Array[Boolean],
                         prefix: Array[Int]): Long = {
     val g = sg.graph
@@ -100,8 +107,8 @@ object SubgraphIso {
       if (used(v)) return false
       if (gLabels(v) != p.labels(q)) return false
       if (g.degree(v) < h.degree(q)) return false
-      // Precomputed candidate filter: O(log) membership, no set materialisation.
-      if (cand != null && !cand(q).contains(v)) return false
+      // Membership in pre.cand(q), whose label and degree tests passed above.
+      if (pre != null && pre.gSig(v) < pre.hSig(q)) return false
       // For induced matching, mapped non-neighbors must stay non-edges.
       if (induced) {
         val nonNbrs = earlier(pos)._2
@@ -120,7 +127,7 @@ object SubgraphIso {
       val nbrs = earlier(pos)._1
       val it: Iterator[Int] =
         if (nbrs.isEmpty) {
-          if (cand != null) cand(q).iterator else Iterator.range(0, g.n)
+          if (pre != null) pre.cand(q).iterator else Iterator.range(0, g.n)
         } else {
           var s = sg.neighbors(mapping(nbrs(0)))
           var i = 1
@@ -163,15 +170,13 @@ object SubgraphIso {
     out
   }
 
-  /** Precomputed candidate set per query vertex: same label, sufficient
-    * degree, and sufficient neighbor-degree sum (a cheap VF3-style invariant).
-    */
-  private def precomputeCandidates(g: LocalGraph, gLabels: Array[Int],
-                                   p: Pattern, factory: SetFactory): Array[VertexSet] = {
+  /** SI-Pre's [[Precomputed]] candidates of `p` in `g`. */
+  private def precompute(g: LocalGraph, gLabels: Array[Int],
+                         p: Pattern, factory: SetFactory): Precomputed = {
     val h = p.graph
     val gSig = nbrDegSums(g)
     val hSig = nbrDegSums(h)
-    Array.tabulate(h.n) { q =>
+    val cand = Array.tabulate(h.n) { q =>
       val cands = new scala.collection.mutable.ArrayBuilder.ofInt
       var v = 0
       while (v < g.n) {
@@ -180,6 +185,7 @@ object SubgraphIso {
       }
       factory.fromSorted(cands.result(), g.n)
     }
+    Precomputed(cand, gSig, hSig)
   }
 
   /** Distributed embedding count over T tasks, T = `tasks` if positive,
@@ -199,7 +205,7 @@ object SubgraphIso {
     require(gLabels.length == local.n, s"${gLabels.length} labels for ${local.n} target vertices")
     val sc = spark.sparkContext
     val order = searchOrder(pattern.graph)
-    val cand = if (variant == Precompute) precomputeCandidates(local, gLabels, pattern, factory) else null
+    val pre = if (variant == Precompute) precompute(local, gLabels, pattern, factory) else null
     val nTasks = if (tasks > 0) tasks else sc.defaultParallelism
     val byArc = variant != Base && pattern.graph.n >= 2 && pattern.graph.hasEdge(order(0), order(1))
     val nUnits = if (byArc) local.adj.length else local.n
@@ -208,13 +214,13 @@ object SubgraphIso {
     // For each position: the query vertices earlier in the order that are
     // neighbors of order(pos), and those that are not.
     val earlier = Array.tabulate(order.length)(pos => order.take(pos).partition(pattern.graph.hasEdge(order(pos), _)))
-    val data = (new SetGraph(local, factory), gLabels, pattern, earlier, cand)
+    val data = (new SetGraph(local, factory), gLabels, pattern, earlier, pre)
     SeedRunner.run(sc, data, if (static) nTasks else nUnits, nTasks) {
-      case ((sg, labels, p, earlier, cand), mine) =>
+      case ((sg, labels, p, earlier, pre), mine) =>
         val units = if (static) mine.flatMap(t => Iterator.range(chunk(t), chunk(t + 1))) else mine
         val mapping = Array.fill(p.graph.n)(-1)
         val used = new Array[Boolean](sg.n)
-        def count(prefix: Array[Int]) = countFrom(sg, labels, p, order, earlier, induced, cand, mapping, used, prefix)
+        def count(prefix: Array[Int]) = countFrom(sg, labels, p, order, earlier, induced, pre, mapping, used, prefix)
         if (byArc) SeedRunner.sumArcs(sg.graph, units)((u, v) => count(Array(u, v)))
         else units.map(v => count(Array(v))).sum
     }.sum

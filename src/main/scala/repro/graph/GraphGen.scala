@@ -21,12 +21,15 @@ import org.apache.spark.sql.functions._
   *  - [[grid]] — 2-D grid ("road": extremely low m/n, nearly no triangles).
   *
   * Everything is generated with Catalyst expressions over `spark.range`, so
-  * graphs are deterministic in (params, seed) and never hit driver memory.
+  * graphs are deterministic in (params, seed). A generator returns its raw
+  * draws; the first use of [[SparkGraph.toLocal]] cleans them in the
+  * executors and holds only the CSR on the driver.
   */
 object GraphGen {
 
-  /** G(n, ~m) Erdős-Rényi: m draws of uniform endpoint pairs (dupes and
-    * loops removed downstream, so realised edge count is slightly below m).
+  /** G(n, ~m) Erdős-Rényi: m draws of uniform endpoint pairs. The CSR
+    * build drops duplicate and looped draws, so the realised edge count is
+    * slightly below m.
     */
   def er(spark: SparkSession, n: Int, m: Long, seed: Long = 7): SparkGraph = {
     val df = spark.range(m).select(

@@ -105,8 +105,9 @@ final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Ser
     * neighbour in `[0, n)`; each neighbourhood strictly ascending (sorted,
     * duplicate-free) and loop-free; and symmetry (`w ∈ N(u)` ⇒ `u ∈ N(w)`).
     * Throws `IllegalArgumentException` naming the first vertex that breaks
-    * a rule. For paths that build a CSR without [[LocalGraph.fromEdges]]'
-    * cleaning, such as [[SparkGraph.toLocal]].
+    * a rule. [[LocalGraph.fromEdges]] and [[SparkGraph.toLocal]] clean
+    * their input, so their graphs pass; the check is for a CSR built any
+    * other way.
     */
   def validate(): LocalGraph = {
     def fail(msg: String): Nothing = throw new IllegalArgumentException(msg)
@@ -152,20 +153,10 @@ object LocalGraph {
     * self-loops. Every endpoint must lie in `[0, n)`.
     */
   def fromEdges(n: Int, edges: Iterable[(Int, Int)]): LocalGraph = {
-    val builder = new scala.collection.mutable.ArrayBuilder.ofLong
-    edges.foreach { case e @ (u, v) =>
-      require(u >= 0 && u < n && v >= 0 && v < n, s"edge $e has an endpoint outside [0, $n)")
-      if (u != v) { builder += packArc(u, v); builder += packArc(v, u) }
-    }
-    val arcs = builder.result()
-    java.util.Arrays.sort(arcs)
-    var count = 0
-    var i = 0
-    while (i < arcs.length) {
-      if (count == 0 || arcs(count - 1) != arcs(i)) { arcs(count) = arcs(i); count += 1 }
-      i += 1
-    }
-    fromSortedArcs(n, arcs, count)
+    val arcs = new scala.collection.mutable.ArrayBuilder.ofLong
+    edges.foreach { case (u, v) => addEdge(arcs, n, u, v) }
+    val sorted = arcs.result()
+    fromSortedArcs(n, sorted, sortDistinct(sorted))
   }
 
   /** Arc (u, v) as one long, `u` in the high and `v` in the low 32 bits;
@@ -173,20 +164,40 @@ object LocalGraph {
     */
   private[graph] def packArc(u: Int, v: Int): Long = (u.toLong << 32) | (v & 0xffffffffL)
 
-  /** The CSR of a symmetric, duplicate-free, loop-free set of packed arcs
-    * ([[packArc]]), for a collect that builds them unchecked: sorts `arcs`
-    * in place and validates the result.
+  /** The error for an edge with an endpoint outside `[0, n)`; a null
+    * endpoint prints as `null`.
     */
-  private[graph] def fromArcs(n: Int, arcs: Array[Long]): LocalGraph = {
+  private[graph] def outside(n: Int, u: Any, v: Any): Nothing =
+    throw new IllegalArgumentException(s"edge ($u, $v) has an endpoint outside [0, $n)")
+
+  /** Appends both arcs of edge (u, v) unless it is a self-loop. The
+    * endpoints are checked while they are still `Long`s, so no ID is
+    * wrapped into range by narrowing it.
+    */
+  private[graph] def addEdge(arcs: scala.collection.mutable.ArrayBuilder.ofLong, n: Int, u: Long, v: Long): Unit = {
+    if (u < 0 || u >= n || v < 0 || v >= n) outside(n, u, v)
+    if (u != v) { arcs += packArc(u.toInt, v.toInt); arcs += packArc(v.toInt, u.toInt) }
+  }
+
+  /** Sorts `arcs` in place and moves its distinct values, ascending, to the
+    * front; returns how many there are.
+    */
+  private[graph] def sortDistinct(arcs: Array[Long]): Int = {
     java.util.Arrays.sort(arcs)
-    fromSortedArcs(n, arcs, arcs.length).validate()
+    var count = 0
+    var i = 0
+    while (i < arcs.length) {
+      if (count == 0 || arcs(count - 1) != arcs(i)) { arcs(count) = arcs(i); count += 1 }
+      i += 1
+    }
+    count
   }
 
   /** The CSR of the first `count` entries of `arcs`, packed arcs in
     * ascending order: counts the high halves into prefix-summed offsets and
     * takes the low halves as the adjacency. Every CSR is laid out here.
     */
-  private def fromSortedArcs(n: Int, arcs: Array[Long], count: Int): LocalGraph = {
+  private[graph] def fromSortedArcs(n: Int, arcs: Array[Long], count: Int): LocalGraph = {
     val offsets = new Array[Int](n + 1)
     val adj = new Array[Int](count)
     var i = 0

@@ -1,54 +1,64 @@
 package repro.graph
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
 
-/** An undirected graph at the dataflow level: a canonicalised symmetric edge
-  * DataFrame (`src`, `dst` — both `int`, both directions present, no
-  * self-loops, no duplicates) plus the vertex-count `n` (IDs in `[0, n)`).
+/** An undirected graph at the dataflow level: its input edge list `edges`
+  * (`src`, `dst`, as given: either direction, duplicates and self-loops
+  * allowed) plus the vertex count `n` (IDs in `[0, n)`).
   *
-  * This is GMS pipeline stage 1-2 (load + build representation) expressed in
-  * Catalyst. Only loading, the generators and link prediction's
-  * edge split stay on this level; every algorithm runs on the graph's one
-  * [[LocalGraph]] CSR, [[toLocal]], which is collected on first use and
-  * then held, so a kernel run again on the same graph submits only its own
-  * jobs.
+  * This is GMS pipeline stages 1-2 (load + build representation): loading
+  * and the generators stay in Catalyst, and the representation is built in
+  * one step, [[toLocal]], the graph's one [[LocalGraph]] CSR, which every
+  * algorithm reads. Nothing else is materialised: `edges` is not cached, so
+  * an action on it recomputes its plan.
   */
 final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
   import spark.implicits._
 
-  /** Number of undirected edges m. */
-  lazy val m: Long = edges.count() / 2
+  /** Number of undirected edges m, read from the CSR. */
+  def m: Long = toLocal.m
 
-  /** Edges with src < dst, each undirected edge once. */
-  def canonicalEdges: DataFrame = edges.where($"src" < $"dst")
+  /** The CSR's edges with src < dst (each undirected edge once) as `int`
+    * columns, lifted back to the dataflow level.
+    */
+  def canonicalEdges: DataFrame = SparkGraph.fromLocal(spark, toLocal).edges
 
-  /** The graph's driver-side CSR, which the kernels broadcast.
+  /** The graph's driver-side CSR, which the kernels broadcast; the only
+    * place where the input edges are cleaned.
     *
-    * Collected by the first use, in one Spark job: each partition packs its
-    * arcs (both directions, as the edge set is symmetric) into one
-    * `Array[Long]` of `src << 32 | dst`. The driver concatenates the arrays
-    * and sorts them once, so the high halves give the offsets and the low
-    * halves the adjacency. Nothing here dedupes or symmetrises, so the
-    * result goes through [[LocalGraph.validate]]: an edge set that is not
-    * canonical (possible through the public constructor) fails with the
-    * first bad vertex named.
+    * Built by the first use in one Spark job without a shuffle. Each
+    * partition reads both endpoints of its edges as `long` and rejects an
+    * endpoint that is null or outside `[0, n)` before narrowing it to `Int`,
+    * with an error that names the edge. It drops self-loops, packs both
+    * directions of every other edge into one `Array[Long]` of
+    * `src << 32 | dst` ([[LocalGraph.packArc]]), and sorts and dedupes them.
+    * The driver concatenates the partitions' arrays, sorts and dedupes them
+    * once more, and lays the CSR out from the high halves (offsets) and low
+    * halves (adjacency). [[LocalGraph.fromEdges]] cleans with the same code.
     *
-    * The edge set is immutable, so the validated CSR is held and every later
-    * use returns the same instance; initialisation runs once, also when
-    * threads race for it. A collect that throws is not held, and the next
-    * use collects (and throws) again. The instance is shared: no code may
-    * write to its `offsets` or `adj`.
+    * The input is immutable, so the CSR is held and every later use returns
+    * the same instance; initialisation runs once, also when threads race for
+    * it. A build that throws is not held, and the next use builds (and
+    * throws) again. The instance is shared: no code may write to its
+    * `offsets` or `adj`.
     */
   lazy val toLocal: LocalGraph = {
-    val parts = edges.select($"src".cast("int"), $"dst".cast("int")).queryExecution.toRdd
+    val n = this.n
+    val parts = edges.select(col("src").cast("long"), col("dst").cast("long")).queryExecution.toRdd
       .mapPartitions { rows =>
         val arcs = new scala.collection.mutable.ArrayBuilder.ofLong
-        rows.foreach(r => arcs += LocalGraph.packArc(r.getInt(0), r.getInt(1)))
-        Iterator.single(arcs.result())
+        rows.foreach { r =>
+          def end(i: Int): Any = if (r.isNullAt(i)) null else r.getLong(i)
+          if (r.isNullAt(0) || r.isNullAt(1)) LocalGraph.outside(n, end(0), end(1))
+          LocalGraph.addEdge(arcs, n, r.getLong(0), r.getLong(1))
+        }
+        val part = arcs.result()
+        Iterator.single(java.util.Arrays.copyOf(part, LocalGraph.sortDistinct(part)))
       }
       .collect()
-    LocalGraph.fromArcs(n, Array.concat(parts.toIndexedSeq: _*))
+    val arcs = Array.concat(parts.toIndexedSeq: _*)
+    LocalGraph.fromSortedArcs(n, arcs, LocalGraph.sortDistinct(arcs))
   }
 
   /** A per-vertex value array (index = vertex ID) as a `(v, name)`
@@ -62,31 +72,13 @@ final case class SparkGraph(spark: SparkSession, edges: DataFrame, n: Int) {
 
 object SparkGraph {
 
-  /** Canonicalise an arbitrary (src, dst) DataFrame into a [[SparkGraph]]:
-    * drop self-loops, symmetrise, dedupe.
-    *
-    * An endpoint that is null or outside `[0, n)` is an error that names the
-    * offending edge. It is raised by the first action on the graph (or, for
-    * a driver-local input, while its plan is optimised); there is no
-    * separate validation job. The edge set is cached in
-    * `defaultParallelism` partitions (one per core in local mode): `m` and
-    * link prediction's split read it, and [[SparkGraph.toLocal]] collects it
-    * once, with one task per partition.
+  /** The graph of an arbitrary (src, dst) DataFrame, taken as it is: no
+    * job runs here. [[SparkGraph.toLocal]] drops self-loops, symmetrises
+    * and dedupes while it builds the CSR, and rejects an endpoint that is
+    * null or outside `[0, n)` with an error that names the edge.
     */
-  def fromEdgeList(spark: SparkSession, raw: DataFrame, n: Int): SparkGraph = {
-    def outside(c: Column): Column = c.isNull || c < 0 || c >= n
-    val bad = raise_error(format_string(s"edge (%s, %s) has an endpoint outside [0, $n)", col("src"), col("dst")))
-    val e = raw
-      .select(
-        when(outside(col("src")) || outside(col("dst")), bad).otherwise(col("src").cast("int")) as "src",
-        col("dst").cast("int") as "dst")
-      .where(col("src") =!= col("dst"))
-    val sym = e.union(e.select(col("dst") as "src", col("src") as "dst"))
-      .distinct()
-      .coalesce(spark.sparkContext.defaultParallelism)
-      .cache()
-    SparkGraph(spark, sym, n)
-  }
+  def fromEdgeList(spark: SparkSession, raw: DataFrame, n: Int): SparkGraph =
+    SparkGraph(spark, raw.select("src", "dst"), n)
 
   /** Lift a driver-side [[LocalGraph]] into the dataflow level. */
   def fromLocal(spark: SparkSession, g: LocalGraph): SparkGraph = {

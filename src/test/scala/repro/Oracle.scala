@@ -2,14 +2,19 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import repro.graph.SparkGraph
 import scala.jdk.CollectionConverters._
 
-/** DuckDB correctness oracle.
+/** DuckDB correctness oracle for results computed on a graph.
   *
-  * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * ``assertEquivalent(sparkDf, sql, g)`` loads the graph's input edges
+  * ``g.edges`` as they are (either direction, duplicates and self-loops
+  * allowed) into DuckDB (via JDBC, in-process), runs ``sql`` over the view
+  * ``edges``, and asserts the sorted rows match ``sparkDf``. The view
+  * canonicalises the input in DuckDB's own SQL, so the oracle never reads
+  * the CSR that [[repro.graph.SparkGraph.toLocal]] builds from the same
+  * edges. This catches wrong results from a rewritten kernel or a wrong
+  * CSR — "it ran" is not "it is correct".
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -33,25 +38,28 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  /** Both directions of every non-loop input edge, each once. */
+  private val edgesView =
+    """CREATE VIEW edges AS
+      |SELECT DISTINCT src, dst FROM (
+      |  SELECT CAST(src AS INTEGER) AS src, CAST(dst AS INTEGER) AS dst FROM raw_edges
+      |  UNION ALL
+      |  SELECT CAST(dst AS INTEGER), CAST(src AS INTEGER) FROM raw_edges)
+      |WHERE src <> dst""".stripMargin
+
+  def assertEquivalent(sparkDf: DataFrame, sql: String, g: SparkGraph): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
-      for ((name, df) <- tables) {
-        val cols = df.columns
-        conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+      conn.createStatement.execute("CREATE TABLE raw_edges (src BIGINT, dst BIGINT)")
+      // Collect once; this is an oracle, not a bench — keep graphs small.
+      val ps = conn.prepareStatement("INSERT INTO raw_edges VALUES (?, ?)")
+      g.edges.collect().foreach { r =>
+        (0 to 1).foreach(i => ps.setLong(i + 1, r.getAs[Number](i).longValue))
+        ps.addBatch()
       }
+      ps.executeBatch(); ps.close()
+      conn.createStatement.execute(edgesView)
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData
       val dCols = (1 to meta.getColumnCount).map(meta.getColumnLabel)

@@ -21,11 +21,6 @@ object SparkSpec {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      // The one shuffle left is fromEdgeList's distinct(), whose output is
-      // coalesced to defaultParallelism. With Spark's default of 200
-      // partitions instead of 64 the test run took about 5% longer on
-      // 4 vCPUs (155-159 s against 139-153 s).
-      .config("spark.sql.shuffle.partitions", 64)
       .getOrCreate()
     // One line in the test output records the heap setting, master and
     // parallelism of the run.

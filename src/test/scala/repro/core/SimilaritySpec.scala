@@ -20,7 +20,7 @@ class SimilaritySpec extends SparkSpec {
     import org.apache.spark.sql.functions._
     Oracle.assertEquivalent(
       Similarity.commonNeighborStats(g).select(col("u"), col("v"), col("cn")),
-      cnSql, "edges" -> g.edges)
+      cnSql, g)
   }
 
   test("Jaccard matches DuckDB oracle") {
@@ -30,7 +30,7 @@ class SimilaritySpec extends SparkSpec {
          |SELECT cn.u, cn.v,
          |       CAST(cn.cn AS DOUBLE) / (d1.d + d2.d - cn.cn) AS score
          |FROM cn JOIN deg d1 ON d1.v = cn.u JOIN deg d2 ON d2.v = cn.v""".stripMargin,
-      "edges" -> g.edges)
+      g)
   }
 
   test("Overlap matches DuckDB oracle") {
@@ -40,7 +40,7 @@ class SimilaritySpec extends SparkSpec {
          |SELECT cn.u, cn.v,
          |       CAST(cn.cn AS DOUBLE) / LEAST(d1.d, d2.d) AS score
          |FROM cn JOIN deg d1 ON d1.v = cn.u JOIN deg d2 ON d2.v = cn.v""".stripMargin,
-      "edges" -> g.edges)
+      g)
   }
 
   test("CommonNeighbors / TotalNeighbors / PreferentialAttachment match oracle") {
@@ -48,19 +48,19 @@ class SimilaritySpec extends SparkSpec {
       Similarity.scores(g, Similarity.CommonNeighbors),
       s"""WITH cn AS ($cnSql)
          |SELECT u, v, CAST(cn AS DOUBLE) AS score FROM cn""".stripMargin,
-      "edges" -> g.edges)
+      g)
     Oracle.assertEquivalent(
       Similarity.scores(g, Similarity.TotalNeighbors),
       s"""WITH cn AS ($cnSql), deg AS ($degSql)
          |SELECT cn.u, cn.v, CAST(d1.d + d2.d - cn.cn AS DOUBLE) AS score
          |FROM cn JOIN deg d1 ON d1.v = cn.u JOIN deg d2 ON d2.v = cn.v""".stripMargin,
-      "edges" -> g.edges)
+      g)
     Oracle.assertEquivalent(
       Similarity.scores(g, Similarity.PreferentialAttachment),
       s"""WITH cn AS ($cnSql), deg AS ($degSql)
          |SELECT cn.u, cn.v, CAST(d1.d * d2.d AS DOUBLE) AS score
          |FROM cn JOIN deg d1 ON d1.v = cn.u JOIN deg d2 ON d2.v = cn.v""".stripMargin,
-      "edges" -> g.edges)
+      g)
   }
 
   test("AdamicAdar / ResourceAllocation match oracle") {
@@ -73,7 +73,7 @@ class SimilaritySpec extends SparkSpec {
          |  ON e1.dst = e2.dst AND CAST(e1.src AS INT) < CAST(e2.src AS INT)
          |JOIN deg dw ON dw.v = CAST(e1.dst AS INT)
          |GROUP BY e1.src, e2.src""".stripMargin,
-      "edges" -> g.edges)
+      g)
     Oracle.assertEquivalent(
       Similarity.scores(g, Similarity.ResourceAllocation),
       s"""WITH deg AS ($degSql)
@@ -83,7 +83,7 @@ class SimilaritySpec extends SparkSpec {
          |  ON e1.dst = e2.dst AND CAST(e1.src AS INT) < CAST(e2.src AS INT)
          |JOIN deg dw ON dw.v = CAST(e1.dst AS INT)
          |GROUP BY e1.src, e2.src""".stripMargin,
-      "edges" -> g.edges)
+      g)
   }
 
   test("closed form: leaves of a star all have Jaccard 1 with each other") {

@@ -42,7 +42,7 @@ class TriangleSpec extends SparkSpec {
         |FROM edges e1
         |JOIN edges e2 ON e1.dst = e2.src AND e1.src <> e2.dst
         |JOIN edges e3 ON e3.src = e1.src AND e3.dst = e2.dst""".stripMargin,
-      "edges" -> g.edges)
+      g)
   }
 
   test("perVertex matches DuckDB oracle") {
@@ -54,7 +54,7 @@ class TriangleSpec extends SparkSpec {
         |JOIN edges e2 ON e1.dst = e2.src AND e1.src <> e2.dst
         |JOIN edges e3 ON e3.src = e1.src AND e3.dst = e2.dst
         |GROUP BY e1.src""".stripMargin,
-      "edges" -> g.edges)
+      g)
   }
 
   test("perVertex sums to 3T") {

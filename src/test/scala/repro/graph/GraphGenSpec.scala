@@ -79,7 +79,7 @@ class GraphGenSpec extends SparkSpec {
     Oracle.assertEquivalent(
       g.perVertex("degree", Array.tabulate(g.n)(local.degree)).where(col("degree") > 0),
       "SELECT CAST(src AS INT) AS v, COUNT(*) AS degree FROM edges GROUP BY src",
-      "edges" -> g.edges)
+      g)
   }
 
   test("erLocal is deterministic and respects p=0 / p=1") {

@@ -33,7 +33,7 @@ class LocalGraphSpec extends AnyFunSuite {
   test("fromEdges rejects an endpoint outside [0, n), naming the edge") {
     for (e <- Seq((0, 3), (-1, 2), (3, 3))) {
       val ex = intercept[IllegalArgumentException](LocalGraph.fromEdges(3, Seq((0, 1), e)))
-      assert(ex.getMessage.contains(e.toString))
+      assert(ex.getMessage.contains(s"edge (${e._1}, ${e._2}) has an endpoint outside [0, 3)"), ex.getMessage)
     }
   }
 
