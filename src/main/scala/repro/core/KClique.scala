@@ -16,7 +16,9 @@ import repro.setalg.{SetFactory, VertexSet}
   *    scalability);
   *
   * and the recursion `count(i, Cᵢ)` intersects C with N⁺(v) per candidate v
-  * (line 19) until depth k, where |C_k| is added (line 15). One formulation
+  * (line 19) until depth k, where |C_k| is added (line 15). Each C_{i+1} is
+  * written in place into one scratch set per depth, as kClist keeps one
+  * buffer per level, so the recursion allocates no set. One formulation
   * covers all k ≥ 2 — the paper highlights dropping kClist's special-cased
   * k = 3 routine.
   */
@@ -31,35 +33,53 @@ object KClique {
     def throughput: Double = Metrics.throughput(cliques, totalSec)
   }
 
+  /** One empty set per recursion depth 0..k under `sg`'s factory: the
+    * recursion writes C_i into `scratch(i)` (C₂ = N⁺(u) is read, not
+    * written), so it allocates no set once these have grown. A task
+    * allocates them once and reuses them for every unit; no two threads
+    * share them.
+    */
+  private[core] def scratch(sg: SetGraph, k: Int): Array[VertexSet] =
+    Array.fill(k + 1)(sg.factory.empty(sg.n))
+
   /** Recursive counting kernel over the oriented SetGraph; `ci` is C_i.
     * One level early it adds Σ_{v∈C} |N⁺(v) ∩ C| with the count-only
     * `intersectCount` (Listing 1), so no C_k is materialised.
     */
-  private def countRec(sg: SetGraph, i: Int, k: Int, ci: VertexSet): Long = {
+  private def countRec(sg: SetGraph, i: Int, k: Int, ci: VertexSet, scratch: Array[VertexSet]): Long = {
     if (i == k) return ci.cardinality.toLong
     var total = 0L
-    val it = ci.iterator
+    val it = ci.cursor
     if (i == k - 1) {
       while (it.hasNext) total += sg.neighbors(it.next()).intersectCount(ci)
     } else {
-      while (it.hasNext) total += countRec(sg, i + 1, k, sg.neighbors(it.next()).intersect(ci))
+      val next = scratch(i + 1)
+      while (it.hasNext) {
+        sg.neighbors(it.next()).intersectInto(ci, next)
+        total += countRec(sg, i + 1, k, next, scratch)
+      }
     }
     total
   }
 
   /** Count k-cliques of the oriented graph starting from one vertex. */
-  def countFromVertex(sg: SetGraph, k: Int, u: Int): Long =
-    if (k == 1) 1L else countRec(sg, 2, k, sg.neighbors(u))
+  private def countFromVertex(sg: SetGraph, k: Int, u: Int, scratch: Array[VertexSet]): Long =
+    if (k == 1) 1L else countRec(sg, 2, k, sg.neighbors(u), scratch)
 
-  /** [[countFromVertex]] over a fresh SetGraph, which builds only the sets
-    * this one seed touches.
+  /** The k-cliques of the oriented graph that start from vertex u, over a
+    * fresh SetGraph, which builds only the sets this one seed touches.
     */
-  def countFromVertex(oriented: LocalGraph, factory: SetFactory, k: Int, u: Int): Long =
-    countFromVertex(new SetGraph(oriented, factory), k, u)
+  def countFromVertex(oriented: LocalGraph, factory: SetFactory, k: Int, u: Int): Long = {
+    val sg = new SetGraph(oriented, factory)
+    countFromVertex(sg, k, u, scratch(sg, k))
+  }
 
   /** Count k-cliques of the oriented graph starting from one directed edge. */
-  private def countFromEdge(sg: SetGraph, k: Int, u: Int, v: Int): Long =
-    countRec(sg, 3, k, sg.neighbors(u).intersect(sg.neighbors(v)))
+  private def countFromEdge(sg: SetGraph, k: Int, u: Int, v: Int, scratch: Array[VertexSet]): Long = {
+    val c3 = scratch(3)
+    sg.neighbors(u).intersectInto(sg.neighbors(v), c3)
+    countRec(sg, 3, k, c3, scratch)
+  }
 
   /** Distributed k-clique count on the graph's CSR. `rank` is the
     * preprocessing order (computed and timed by the caller, e.g. via
@@ -78,11 +98,15 @@ object KClique {
     val partials = mode match {
       case NodeParallel =>
         SeedRunner.run(sc, sg, oriented.n, tasks) { (sg, seeds) =>
-          seeds.map(countFromVertex(sg, k, _)).sum
+          val s = scratch(sg, k)
+          var total = 0L
+          while (seeds.hasNext) total += countFromVertex(sg, k, seeds.next(), s)
+          total
         }
       case EdgeParallel =>
         SeedRunner.run(sc, sg, oriented.adj.length, tasks) { (sg, arcs) =>
-          SeedRunner.sumArcs(sg.graph, arcs)(countFromEdge(sg, k, _, _))
+          val s = scratch(sg, k)
+          SeedRunner.sumArcs(sg.graph, arcs)(countFromEdge(sg, k, _, _, s))
         }
     }
     partials.sum
@@ -106,16 +130,21 @@ object KClique {
   /** Alg. 7's recursion from vertex u of an oriented SetGraph, for listing:
     * calls `leaf(prefix, C_k)` once per (k-1)-clique `prefix` that starts at
     * u (newest vertex first, u last), where C_k holds the vertices that
-    * complete it to a k-clique. k ≥ 2.
+    * complete it to a k-clique. C_i is written into `scratch(i)` (from
+    * [[scratch]]), so `leaf` may read C_k only during the call and must not
+    * change it. k ≥ 2.
     */
-  private[core] def walk(sg: SetGraph, k: Int, u: Int)(leaf: (List[Int], VertexSet) => Unit): Unit = {
+  private[core] def walk(sg: SetGraph, k: Int, u: Int, scratch: Array[VertexSet])
+                        (leaf: (List[Int], VertexSet) => Unit): Unit = {
     def rec(i: Int, ci: VertexSet, prefix: List[Int]): Unit =
       if (i == k) leaf(prefix, ci)
       else {
-        val it = ci.iterator
+        val next = scratch(i + 1)
+        val it = ci.cursor
         while (it.hasNext) {
           val v = it.next()
-          rec(i + 1, sg.neighbors(v).intersect(ci), v :: prefix)
+          sg.neighbors(v).intersectInto(ci, next)
+          rec(i + 1, next, v :: prefix)
         }
       }
     rec(2, sg.neighbors(u), List(u))
@@ -126,9 +155,10 @@ object KClique {
                 factory: SetFactory = SetFactory.sorted): Seq[Seq[Int]] = {
     if (k == 1) return (0 until local.n).map(Seq(_))
     val sg = new SetGraph(local.orient(rank), factory)
+    val s = scratch(sg, k)
     val out = scala.collection.mutable.ArrayBuffer.empty[Seq[Int]]
     for (u <- 0 until local.n)
-      walk(sg, k, u)((prefix, ck) => ck.iterator.foreach(v => out += (v :: prefix).sorted))
+      walk(sg, k, u, s)((prefix, ck) => ck.iterator.foreach(v => out += (v :: prefix).sorted))
     out.toSeq
   }
 }

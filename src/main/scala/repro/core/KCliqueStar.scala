@@ -27,12 +27,15 @@ object KCliqueStar {
     val agg = SeedRunner.run(g.spark.sparkContext, data, local.n, tasks) { case ((und, ori), seeds) =>
       var stars = 0L
       var starVerts = 0L
-      seeds.foreach(u => KClique.walk(ori, k, u) { (prefix, ck) =>
+      val scratch = KClique.scratch(ori, k)
+      val fold = und.factory.empty(und.n)
+      seeds.foreach(u => KClique.walk(ori, k, u, scratch) { (prefix, ck) =>
         // S of clique v :: prefix is (∩_{p∈prefix} N(p)) ∩ N(v); the prefix
         // part is shared by every leaf v, and only |S| is needed.
-        val common = commonNeighbors(und, prefix)
-        ck.iterator.foreach { v =>
-          val s = common.intersectCount(und.neighbors(v))
+        val common = commonNeighbors(und, prefix, fold)
+        val it = ck.cursor
+        while (it.hasNext) {
+          val s = common.intersectCount(und.neighbors(it.next()))
           if (s > 0) { stars += 1; starVerts += s }
         }
       })
@@ -45,16 +48,25 @@ object KCliqueStar {
   def listLocal(local: LocalGraph, k: Int, rank: Array[Int],
                 factory: SetFactory = SetFactory.sorted): Seq[(Seq[Int], Seq[Int])] = {
     val und = new SetGraph(local, factory)
+    val fold = factory.empty(local.n)
     KClique.listLocal(local, k, rank, factory).flatMap { c =>
-      val s = commonNeighbors(und, c).toArray.toSeq
+      val s = commonNeighbors(und, c.toList, fold).toArray.toSeq
       if (s.nonEmpty) Some((c, s)) else None
     }
   }
 
   /** ∩_{v∈vs} N(v) — pure set algebra over the chosen representation. For a
     * clique C this is its star set S: v ∉ N(v), so C's own vertices drop out.
-    * Read-only: for one vertex it is that vertex's shared set.
+    * For one vertex it is that vertex's shared set; otherwise the fold is
+    * written into `dst`, which the caller owns, the first ∩ into it and each
+    * later one in place. Either way the result is read-only.
     */
-  private def commonNeighbors(und: SetGraph, vs: Seq[Int]): VertexSet =
-    vs.tail.foldLeft(und.neighbors(vs.head))((s, v) => s.intersect(und.neighbors(v)))
+  private def commonNeighbors(und: SetGraph, vs: List[Int], dst: VertexSet): VertexSet =
+    if (vs.tail.isEmpty) und.neighbors(vs.head)
+    else {
+      und.neighbors(vs.head).intersectInto(und.neighbors(vs.tail.head), dst)
+      var rest = vs.tail.tail
+      while (rest.nonEmpty) { dst.intersectInto(und.neighbors(rest.head), dst); rest = rest.tail }
+      dst
+    }
 }

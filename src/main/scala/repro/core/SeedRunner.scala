@@ -59,9 +59,12 @@ object SeedRunner {
     */
   def sumArcs(g: LocalGraph, arcs: Iterator[Int])(f: (Int, Int) => Long): Long = {
     var u = 0
-    arcs.map { a =>
+    var total = 0L
+    while (arcs.hasNext) {
+      val a = arcs.next()
       while (g.offsets(u + 1) <= a) u += 1
-      f(u, g.adj(a))
-    }.sum
+      total += f(u, g.adj(a))
+    }
+    total
   }
 }

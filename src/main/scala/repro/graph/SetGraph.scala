@@ -9,8 +9,8 @@ import repro.setalg.{SetFactory, VertexSet}
   * Each set is built at most once, on first touch, and then shared by every
   * thread that reads it (an `AtomicReferenceArray` publishes it safely; two
   * threads racing on one vertex may both build it, and one copy wins). The
-  * kernels only pass these sets as the read-only side of bulk operations, so
-  * sharing them is safe. The cache is `@transient`: a SetGraph travels inside
+  * kernels only read these sets, as operands of bulk operations and never
+  * as the destination of `intersectInto`, so sharing them is safe. The cache is `@transient`: a SetGraph travels inside
   * a kernel's broadcast as its bare CSR, every task of one JVM reads the same
   * deserialised copy, and the sets go when the broadcast is destroyed.
   */

@@ -35,6 +35,18 @@ final class DenseBitSet private[setalg] (private val words: Array[Long],
   override def diff(b: VertexSet): VertexSet      = zipNew(b)(_ & ~_)
   override def union(b: VertexSet): VertexSet     = zipNew(b)(_ | _)
 
+  override def intersectInto(b: VertexSet, dst: VertexSet): Unit = {
+    val bw = asWords(b)
+    val d = dst.asInstanceOf[DenseBitSet]
+    val out = d.words
+    var c = 0; var i = 0
+    while (i < words.length) {
+      val w = words(i) & bw(i)
+      out(i) = w; c += java.lang.Long.bitCount(w); i += 1
+    }
+    d.card = c
+  }
+
   override def intersectCount(b: VertexSet): Int = {
     val bw = asWords(b)
     var c = 0; var i = 0
@@ -56,7 +68,7 @@ final class DenseBitSet private[setalg] (private val words: Array[Long],
     }
   }
 
-  override def iterator: Iterator[Int] = new Iterator[Int] {
+  override def cursor: IntCursor = new IntCursor {
     private var wi = 0
     private var cur = if (words.nonEmpty) words(0) else 0L
     private def advance(): Unit =
@@ -79,7 +91,7 @@ object DenseBitSet extends SetFactory {
   override def name = "DenseBitSet"
 
   override def fromSorted(sorted: Array[Int], universe: Int): VertexSet = {
-    val words = new Array[Long](math.max(1, (universe + 63) >>> 6))
+    val words = wordsFor(universe)
     var i = 0
     while (i < sorted.length) {
       val v = sorted(i)
@@ -88,4 +100,8 @@ object DenseBitSet extends SetFactory {
     }
     new DenseBitSet(words, sorted.length)
   }
+
+  override def empty(universe: Int): VertexSet = new DenseBitSet(wordsFor(universe), 0)
+
+  private def wordsFor(universe: Int): Array[Long] = new Array[Long](math.max(1, (universe + 63) >>> 6))
 }

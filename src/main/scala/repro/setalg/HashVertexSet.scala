@@ -71,22 +71,31 @@ final class HashVertexSet private[setalg] (initialCapacity: Int) extends VertexS
 
   override def intersect(b: VertexSet): VertexSet = {
     val out = new HashVertexSet(math.min(cardinality, b.cardinality))
-    val it = iterator
-    while (it.hasNext) { val v = it.next(); if (b.contains(v)) out.add(v) }
+    intersectInto(b, out)
     out
+  }
+
+  override def intersectInto(b: VertexSet, dst: VertexSet): Unit = {
+    val d = dst.asInstanceOf[HashVertexSet]
+    // Read from a snapshot of the slots when writing into the receiver.
+    val src = if (d eq this) table.clone() else table
+    java.util.Arrays.fill(d.table, -1)
+    d.size = 0
+    var i = 0
+    while (i < src.length) { val v = src(i); if (v >= 0 && b.contains(v)) d.add(v); i += 1 }
   }
 
   override def intersectCount(b: VertexSet): Int = {
     val (small, large) = if (cardinality <= b.cardinality) (this: VertexSet, b) else (b, this: VertexSet)
     var c = 0
-    val it = small.iterator
+    val it = small.cursor
     while (it.hasNext) { if (large.contains(it.next())) c += 1 }
     c
   }
 
   override def diff(b: VertexSet): VertexSet = {
     val out = new HashVertexSet(cardinality)
-    val it = iterator
+    val it = cursor
     while (it.hasNext) { val v = it.next(); if (!b.contains(v)) out.add(v) }
     out
   }
@@ -99,13 +108,15 @@ final class HashVertexSet private[setalg] (initialCapacity: Int) extends VertexS
   }
 
   /** Ascending order, per the interface contract (sorts on demand). */
-  override def iterator: Iterator[Int] = {
+  override def toArray: Array[Int] = {
     val out = new Array[Int](size)
     var i = 0; var k = 0
     while (i < table.length) { if (table(i) >= 0) { out(k) = table(i); k += 1 }; i += 1 }
     java.util.Arrays.sort(out)
-    out.iterator
+    out
   }
+
+  override def cursor: IntCursor = new ArrayCursor(toArray, size)
 
   def storageBytes: Long = 24L + 4L * table.length
 }
@@ -117,4 +128,6 @@ object HashVertexSet extends SetFactory {
     sorted.foreach(s.add)
     s
   }
+
+  override def empty(universe: Int): VertexSet = new HashVertexSet(0)
 }

@@ -9,7 +9,7 @@ import org.roaringbitmap.RoaringBitmap
   * no expensive decompression, fast bulk AND/OR/ANDNOT plus O(~1) point
   * updates. Cardinality is maintained by the library.
   */
-final class RoaringSet private[setalg] (private val bm: RoaringBitmap) extends VertexSet {
+final class RoaringSet private[setalg] (private var bm: RoaringBitmap) extends VertexSet {
 
   override def cardinality: Int = bm.getCardinality
 
@@ -19,6 +19,11 @@ final class RoaringSet private[setalg] (private val bm: RoaringBitmap) extends V
 
   override def intersect(b: VertexSet): VertexSet =
     new RoaringSet(RoaringBitmap.and(bm, asRoaring(b)))
+
+  override def intersectInto(b: VertexSet, dst: VertexSet): Unit = {
+    val d = dst.asInstanceOf[RoaringSet]
+    if (d eq this) bm.and(asRoaring(b)) else d.bm = RoaringBitmap.and(bm, asRoaring(b))
+  }
 
   override def intersectCount(b: VertexSet): Int =
     RoaringBitmap.andCardinality(bm, asRoaring(b))
@@ -32,7 +37,7 @@ final class RoaringSet private[setalg] (private val bm: RoaringBitmap) extends V
   override def add(b: Int): Unit    = bm.add(b)
   override def remove(b: Int): Unit = bm.remove(b)
 
-  override def iterator: Iterator[Int] = new Iterator[Int] {
+  override def cursor: IntCursor = new IntCursor {
     private val it = bm.getIntIterator
     override def hasNext: Boolean = it.hasNext
     override def next(): Int = it.next()
@@ -51,4 +56,6 @@ object RoaringSet extends SetFactory {
     bm.runOptimize()
     new RoaringSet(bm)
   }
+
+  override def empty(universe: Int): VertexSet = new RoaringSet(new RoaringBitmap())
 }

@@ -2,17 +2,23 @@ package repro.setalg
 
 /** The GMS set interface (paper Listing 1), ported to Scala: the operators
   * the kernels use. A `VertexSet` holds vertex IDs (non-negative `Int`s) and
-  * offers ∩ (`intersect`, and `intersectCount` for |A ∩ B|), \ (`diff`), ∪
-  * (`union`), ∈ (`contains`), |·| (`cardinality`, `isEmpty`), the
-  * single-element `add` / `remove` that Bron-Kerbosch applies to P and X,
-  * ascending `iterator` / `toArray`, and `storageBytes` (Fig. 8c).
+  * offers ∩ (`intersect`, its in-place form `intersectInto`, and
+  * `intersectCount` for |A ∩ B|), \ (`diff`), ∪ (`union`), ∈ (`contains`),
+  * |·| (`cardinality`, `isEmpty`), the single-element `add` / `remove` that
+  * Bron-Kerbosch applies to P and X, ascending `cursor` / `iterator` /
+  * `toArray`, and `storageBytes` (Fig. 8c).
   *
-  * Bulk operations return **new** sets (the paper's default, which avoids
-  * aliasing bugs in recursive Bron-Kerbosch); only `add` / `remove` mutate
-  * the receiver. The operand of a bulk operation has the receiver's
-  * representation (the sorted, roaring and dense sets read it by a cast). A
-  * [[repro.graph.SetGraph]] guarantees this: every set a kernel touches
-  * comes from its one factory (paper Listing 2).
+  * `intersect`, `diff` and `union` return **new** sets (the paper's default,
+  * which avoids aliasing bugs in recursive Bron-Kerbosch). Three operations
+  * mutate a set: `add` / `remove` mutate the receiver, and `intersectInto`
+  * overwrites a destination set that the caller owns. That destination is a
+  * scratch set from [[SetFactory.empty]] or the receiver itself (the paper's
+  * `intersect_inplace`), never a set shared with other readers, such as a
+  * [[repro.graph.SetGraph]] neighbourhood. The operand of a bulk operation,
+  * and the destination of `intersectInto`, have the receiver's
+  * representation and universe (the sorted, roaring and dense sets read them
+  * by a cast). A SetGraph guarantees this: every set a kernel touches comes
+  * from its one factory (paper Listing 2).
   */
 trait VertexSet extends Serializable {
 
@@ -24,6 +30,13 @@ trait VertexSet extends Serializable {
 
   /** A ∩ B as a new set. */
   def intersect(b: VertexSet): VertexSet
+
+  /** dst = A ∩ B, overwriting what `dst` held. `dst` is the receiver or a
+    * set that is neither operand. The sorted and dense sets allocate nothing
+    * once `dst` has grown to the result's size; the roaring and hash sets
+    * may allocate.
+    */
+  def intersectInto(b: VertexSet, dst: VertexSet): Unit
 
   /** |A ∩ B| without materialising the intersection. */
   def intersectCount(b: VertexSet): Int
@@ -42,11 +55,28 @@ trait VertexSet extends Serializable {
 
   def isEmpty: Boolean = cardinality == 0
 
-  /** Elements in ascending order. */
-  def iterator: Iterator[Int]
+  /** Elements in ascending order, read as unboxed `Int`s. The set must not
+    * change while the cursor is in use.
+    */
+  def cursor: IntCursor
+
+  /** Elements in ascending order, as a Scala iterator (boxes each element). */
+  final def iterator: Iterator[Int] = {
+    val c = cursor
+    new Iterator[Int] {
+      override def hasNext: Boolean = c.hasNext
+      override def next(): Int = c.next()
+    }
+  }
 
   /** Elements as a fresh ascending array (paper's `toArray`). */
-  def toArray: Array[Int] = iterator.toArray
+  def toArray: Array[Int] = {
+    val out = new Array[Int](cardinality)
+    val c = cursor
+    var i = 0
+    while (c.hasNext) { out(i) = c.next(); i += 1 }
+    out
+  }
 
   /** Approximate heap bytes of the backing storage — the Fig.-8c
     * representation-size metric.
@@ -54,6 +84,21 @@ trait VertexSet extends Serializable {
   def storageBytes: Long
 
   override def toString: String = iterator.mkString("{", ",", "}")
+}
+
+/** An ascending read of a set's elements that returns primitive `Int`s, so
+  * a kernel's inner loop reads a set without boxing.
+  */
+trait IntCursor {
+  def hasNext: Boolean
+  def next(): Int
+}
+
+/** An [[IntCursor]] over `elems[0, end)`. */
+private[setalg] final class ArrayCursor(elems: Array[Int], end: Int) extends IntCursor {
+  private var i = 0
+  override def hasNext: Boolean = i < end
+  override def next(): Int = { val v = elems(i); i += 1; v }
 }
 
 /** Factory for one set representation — the pluggable "module" of GMS.
@@ -64,8 +109,16 @@ trait VertexSet extends Serializable {
 trait SetFactory extends Serializable {
   def name: String
 
-  /** Build from a **sorted, duplicate-free** array (CSR neighborhood). */
+  /** Build from a **sorted, duplicate-free** array (CSR neighborhood). The
+    * set may keep `sorted` as its storage, so the caller hands the array
+    * over and must not read or write it afterwards.
+    */
   def fromSorted(sorted: Array[Int], universe: Int): VertexSet
+
+  /** A new empty set, owned by the caller: the scratch destination of
+    * [[VertexSet.intersectInto]].
+    */
+  def empty(universe: Int): VertexSet
 }
 
 object SetFactory {

@@ -2,7 +2,11 @@ package repro.core
 
 import repro.SparkSpec
 import repro.graph.{GraphGen, LocalGraph, Reorder, SparkGraph}
-import repro.setalg.SetFactory
+import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicLong
+import repro.setalg.{SetFactory, VertexSet}
+import scala.collection.concurrent.TrieMap
+import scala.jdk.CollectionConverters._
 
 class KCliqueSpec extends SparkSpec {
 
@@ -122,4 +126,55 @@ class KCliqueSpec extends SparkSpec {
     val rank = Array.range(0, 80)
     assert(KClique.count(g, 6, rank) == choose(12, 6))
   }
+
+  test("no kernel writes into a shared neighbourhood set, every representation") {
+    val local = GraphGen.erLocal(30, 0.45, 12)
+    val g = SparkGraph.fromLocal(spark, local)
+    val (rank, _, _) = Reorder.degeneracyLocal(local)
+    val kernels = Seq[(String, SetFactory => Any)](
+      "KClique.count NP" -> (f => KClique.count(g, 5, rank, KClique.NodeParallel, f, tasks = 1)),
+      "KClique.count EP" -> (f => KClique.count(g, 5, rank, KClique.EdgeParallel, f, tasks = 1)),
+      "KCliqueStar.count" -> (f => KCliqueStar.count(g, 4, rank, f, tasks = 1)),
+      "KClique.listLocal" -> (f => KClique.listLocal(local, 5, rank, f)),
+      "KCliqueStar.listLocal" -> (f => KCliqueStar.listLocal(local, 4, rank, f)))
+    assert(KClique.count(g, 5, rank) > 0)
+    for (f <- SetFactory.all; (name, run) <- kernels) {
+      val rec = new RecordingFactory(f)
+      assert(run(rec) == run(f), s"$name ${f.name}")
+      assert(rec.built > 0, s"$name ${f.name}")
+      assert(rec.changed.isEmpty, s"$name ${f.name} wrote into a neighbourhood")
+    }
+  }
+}
+
+/** A set factory that records every set `inner` builds from sorted input,
+  * which is every neighbourhood of a SetGraph on it, with its elements at
+  * build time. Scratch sets come from `empty` and are not recorded. The
+  * record lives in the JVM, so it also sees the sets that Spark tasks build
+  * from a deserialised copy of the factory.
+  */
+final class RecordingFactory(inner: SetFactory) extends SetFactory {
+  private val id = RecordingFactory.ids.getAndIncrement()
+  private def record = RecordingFactory.records.getOrElseUpdate(id, new ConcurrentLinkedQueue)
+
+  override def name: String = inner.name
+
+  override def fromSorted(sorted: Array[Int], universe: Int): VertexSet = {
+    val s = inner.fromSorted(sorted, universe)
+    record.add((s, s.toArray.toSeq))
+    s
+  }
+
+  override def empty(universe: Int): VertexSet = inner.empty(universe)
+
+  def built: Int = record.size
+
+  /** The recorded sets whose elements are no longer those they were built with. */
+  def changed: Seq[(Seq[Int], Seq[Int])] =
+    record.asScala.toSeq.collect { case (s, was) if s.toArray.toSeq != was => (was, s.toArray.toSeq) }
+}
+
+object RecordingFactory {
+  private val ids = new AtomicLong
+  private val records = TrieMap.empty[Long, ConcurrentLinkedQueue[(VertexSet, Seq[Int])]]
 }

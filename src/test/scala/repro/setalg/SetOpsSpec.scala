@@ -18,6 +18,23 @@ class SetOpsSpec extends AnyFunSuite {
   private def mk(f: SetFactory, s: Set[Int]): VertexSet =
     f.fromSorted(s.toArray.sorted, universe)
 
+  /** The elements, read through the unboxed cursor. */
+  private def read(s: VertexSet): Seq[Int] = {
+    val out = Seq.newBuilder[Int]
+    val c = s.cursor
+    while (c.hasNext) out += c.next()
+    out.result()
+  }
+
+  /** `s` holds exactly `want`, by every read: no stale element is left. */
+  private def assertHolds(s: VertexSet, want: Set[Int], clue: => String): Unit = {
+    val sorted = want.toSeq.sorted
+    assert(s.cardinality == want.size, clue)
+    assert(s.toArray.toSeq == sorted, clue)
+    assert(read(s) == sorted, clue)
+    assert((0 until universe).filter(s.contains) == sorted, clue)
+  }
+
   for (f <- SetFactory.all) {
 
     test(s"${f.name}: empty set basics") {
@@ -44,6 +61,7 @@ class SetOpsSpec extends AnyFunSuite {
         assert(s.cardinality == ref.size)
         assert(s.toArray.toSeq == ref.toSeq.sorted)
         assert(s.iterator.toSeq == ref.toSeq.sorted)
+        assert(read(s) == ref.toSeq.sorted)
       }
     }
 
@@ -90,6 +108,52 @@ class SetOpsSpec extends AnyFunSuite {
       val big = mk(f, (0 until universe by 2).toSet)
       assert(small.intersect(big).toArray.toSeq == Seq(100, 200))
       assert(small.intersectCount(big) == 2)
+    }
+
+    test(s"${f.name}: intersectInto equals intersect, one destination as results shrink and grow") {
+      val rnd = new Random(8)
+      val dst = f.empty(universe)
+      // Operand sizes fall to 0 and rise again; a small one against a large
+      // one also takes the galloping path.
+      val sizes = (200 to 0 by -20) ++ (0 to 200 by 20) ++ Seq(2, 250, 5, 250)
+      for (size <- sizes) {
+        val ra = randomSet(rnd, size); val rb = randomSet(rnd, 250)
+        val a = mk(f, ra); val b = mk(f, rb)
+        a.intersectInto(b, dst)
+        assertHolds(dst, ra intersect rb, s"$ra ∩ $rb")
+        assert(dst.toArray.toSeq == a.intersect(b).toArray.toSeq)
+        assertHolds(a, ra, "receiver unchanged")
+        assertHolds(b, rb, "operand unchanged")
+      }
+    }
+
+    test(s"${f.name}: intersectInto with the receiver as destination") {
+      val rnd = new Random(9)
+      val pairs = Seq.fill(20)((randomSet(rnd, 120), randomSet(rnd, 120))) ++
+        Seq((Set(3, 100, 200), (0 until universe by 2).toSet), ((0 until universe by 2).toSet, Set(3, 100, 200)))
+      for ((ra, rb) <- pairs) {
+        val a = mk(f, ra); val b = mk(f, rb)
+        a.intersectInto(b, a)
+        assertHolds(a, ra intersect rb, s"$ra ∩= $rb")
+        assertHolds(b, rb, "operand unchanged")
+      }
+    }
+
+    test(s"${f.name}: intersectInto with empty operands") {
+      val full = Set(1, 5, 64, 200)
+      val dst = mk(f, Set(2, 7, 130))
+      mk(f, Set.empty).intersectInto(mk(f, full), dst)
+      assertHolds(dst, Set.empty, "∅ ∩ A")
+      val a = mk(f, full)
+      a.intersectInto(f.empty(universe), dst)
+      assertHolds(dst, Set.empty, "A ∩ ∅")
+      a.intersectInto(mk(f, Set(5, 200, 201)), dst)
+      assertHolds(dst, Set(5, 200), "A ∩ B after ∅")
+      val e = f.empty(universe)
+      e.intersectInto(e, e)
+      assertHolds(e, Set.empty, "∅ ∩= ∅")
+      a.intersectInto(f.empty(universe), a)
+      assertHolds(a, Set.empty, "A ∩= ∅")
     }
 
     test(s"${f.name}: add / remove single elements") {
