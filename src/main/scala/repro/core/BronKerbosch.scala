@@ -25,21 +25,26 @@ object BronKerbosch {
       return
     }
     if (P.isEmpty) return                // only excluded vertices left — dead end
-    // line 20: pivot u ∈ P ∪ X minimising |P \ N(u)| = maximising |P ∩ N(u)|.
+    // line 20: pivot u ∈ P ∪ X minimising |P \ N(u)| = maximising |P ∩ N(u)|,
+    // the first strict maximum in P-then-X order. u ∉ N(u), so a u ∈ P
+    // counts at most |P| - 1 and an X vertex at most |P|: the scans stop
+    // once no later vertex can beat the best count.
+    val p = P.cardinality
     var pivot = -1
     var best = -1
-    val itP = P.iterator
-    while (itP.hasNext) {
-      val u = itP.next()
+    val cP = P.cursor
+    while (best < p - 1 && cP.hasNext) {
+      val u = cP.next()
+      val c = if (p == 1) 0 else P.intersectCount(neigh(u))
+      if (c > best) { best = c; pivot = u }
+    }
+    val cX = X.cursor
+    while (best < p && cX.hasNext) {
+      val u = cX.next()
       val c = P.intersectCount(neigh(u))
       if (c > best) { best = c; pivot = u }
     }
-    val itX = X.iterator
-    while (itX.hasNext) {
-      val u = itX.next()
-      val c = P.intersectCount(neigh(u))
-      if (c > best) { best = c; pivot = u }
-    }
+    if (best == p) return                // an X vertex covers P: no candidates
     // line 21: candidates = P \ N(u); snapshot because P mutates in the loop.
     val candidates = P.diff(neigh(pivot)).toArray
     var i = 0

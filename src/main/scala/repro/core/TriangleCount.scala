@@ -21,7 +21,10 @@ object TriangleCount {
     SeedRunner.byUnit(SeedRunner.run(spark.sparkContext, new SetGraph(local, SetFactory.sorted), local.n, 0) {
       (sg, vs) => vs.map { v =>
         val nv = sg.neighbors(v)
-        nv.iterator.map(sg.neighbors(_).intersectCount(nv).toLong).sum / 2
+        val c = nv.cursor
+        var t = 0L
+        while (c.hasNext) t += sg.neighbors(c.next()).intersectCount(nv)
+        t / 2
       }.toArray
     })
 

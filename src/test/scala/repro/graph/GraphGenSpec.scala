@@ -1,9 +1,77 @@
 package repro.graph
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 
 class GraphGenSpec extends SparkSpec {
+
+  /** This run's session, whose `spark.range` splits into the default
+    * parallelism, and sessions on the same SparkContext pinned at 1, 3, 4
+    * and 8 slices.
+    */
+  private lazy val sessions: Seq[(String, SparkSession)] =
+    ("default slices" -> spark) +: Seq(1, 3, 4, 8).map { k =>
+      val s = spark.newSession()
+      s.conf.set("spark.sql.leafNodeDefaultParallelism", k.toString)
+      s"$k slices" -> s
+    }
+
+  /** The rows of each partition, as longs. */
+  private def slices(rows: DataFrame): Seq[Seq[(Long, Long)]] =
+    rows.select(col("src").cast("long"), col("dst").cast("long")).rdd.glom().collect()
+      .map(_.map(r => (r.getLong(0), r.getLong(1))).toSeq).toSeq
+
+  /** In every session, for every case: the graph's raw rows, drawn again in
+    * Spark tasks, equal the Catalyst query's rows slice by slice, and its
+    * CSR, built on the driver, equals the CSR of the query's rows
+    * (`toLocal` of a DataFrame equals `fromEdges` of its rows, SparkGraphSpec).
+    */
+  private def matchesCatalyst(cases: Seq[(String, SparkSession => (SparkGraph, DataFrame))]): Unit =
+    for ((session, s) <- sessions; (name, make) <- cases) {
+      val (g, query) = make(s)
+      val what = s"$name, $session"
+      val want = slices(query)
+      assert(slices(g.edges) == want, what)
+      val ref = LocalGraph.fromEdges(g.n, want.flatten.map { case (u, v) => (u.toInt, v.toInt) })
+      assert(g.toLocal.offsets.sameElements(ref.offsets), what)
+      assert(g.toLocal.adj.sameElements(ref.adj), what)
+    }
+
+  test("er draws its Catalyst query's rows and CSR: 3 seeds, 779 rows, 1-8 slices") {
+    matchesCatalyst(Seq(5L, 1005L, 2005L).map { seed =>
+      s"er seed $seed" -> ((s: SparkSession) => (GraphGen.er(s, 100, 779, seed), CatalystGen.er(s, 100, 779, seed)))
+    })
+  }
+
+  test("rmat draws its Catalyst query's rows and CSR: 4 seeds, 640 rows, 1-8 slices") {
+    matchesCatalyst(Seq(11L, 1011L, 2011L, 5L).map { seed =>
+      s"rmat seed $seed" -> ((s: SparkSession) => (GraphGen.rmat(s, 7, 5, seed = seed), CatalystGen.rmat(s, 7, 5, seed = seed)))
+    } :+ ("rmat (0.45, 0.15, 0.15)" -> ((s: SparkSession) =>
+      (GraphGen.rmat(s, 6, 7, 0.45, 0.15, 0.15, 9), CatalystGen.rmat(s, 6, 7, 0.45, 0.15, 0.15, 9)))))
+  }
+
+  test("ringLattice draws its Catalyst query's rows and CSR: 3 seeds, rewired, 1-8 slices") {
+    matchesCatalyst(Seq(13L, 1013L, 2013L).map { seed =>
+      s"ringLattice seed $seed" -> ((s: SparkSession) =>
+        (GraphGen.ringLattice(s, 77, 3, 0.3, seed), CatalystGen.ringLattice(s, 77, 3, 0.3, seed)))
+    } :+ ("ringLattice unwired" -> ((s: SparkSession) =>
+      (GraphGen.ringLattice(s, 50, 4), CatalystGen.ringLattice(s, 50, 4, 0.0, 13)))))
+  }
+
+  test("plantedCliques draws its Catalyst query's rows and CSR: 3 seeds, 1-8 slices") {
+    matchesCatalyst(Seq(17L, 1017L, 2017L).map { seed =>
+      s"plantedCliques seed $seed" -> ((s: SparkSession) =>
+        (GraphGen.plantedCliques(s, 300, 779, 5, Seq(6, 9, 2), seed),
+         CatalystGen.plantedCliques(s, 300, 779, 5, Seq(6, 9, 2), seed)))
+    })
+  }
+
+  test("grid draws its Catalyst query's rows and CSR: 1-8 slices") {
+    matchesCatalyst(Seq((7, 11), (1, 5), (4, 1)).map { case (r, c) =>
+      s"grid $r x $c" -> ((s: SparkSession) => (GraphGen.grid(s, r, c), CatalystGen.grid(s, r, c)))
+    })
+  }
 
   test("grid has the closed-form edge count and no triangles") {
     val g = GraphGen.grid(spark, 8, 11)

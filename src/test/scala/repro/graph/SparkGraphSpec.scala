@@ -34,7 +34,8 @@ class SparkGraphSpec extends SparkSpec {
   test("toLocal round-trips through fromLocal") {
     val l = g.toLocal
     assert(l.n == 5 && l.m == 4)
-    val g2 = SparkGraph.fromLocal(spark, l)
+    // Through the lifted rows as a DataFrame, collected in a Spark job.
+    val g2 = SparkGraph(spark, SparkGraph.fromLocal(spark, l).edges, l.n)
     assert(g2.toLocal.edgeList.toSeq.sorted == l.edgeList.toSeq.sorted)
   }
 
@@ -106,19 +107,24 @@ class SparkGraphSpec extends SparkSpec {
   }
 
   test("a graph's first toLocal runs one Spark job of one stage: no shuffle") {
-    val graphs = Seq(
-      "R-MAT 8x8" -> GraphGen.rmat(spark, 8, 8),
-      "planted cliques" -> GraphGen.plantedCliques(spark, 300, 600, 5, Seq(6, 9)),
-      "lifted K_6" -> GraphGen.complete(spark, 6))
-    for ((name, h) <- graphs) {
+    val graphs: Seq[(String, () => SparkGraph)] = Seq(
+      "R-MAT 8x8" -> (() => GraphGen.rmat(spark, 8, 8)),
+      "planted cliques" -> (() => GraphGen.plantedCliques(spark, 300, 600, 5, Seq(6, 9))),
+      "lifted K_6" -> (() => GraphGen.complete(spark, 6)))
+    for ((name, make) <- graphs) {
+      // Drawn on the driver: neither the graph nor its CSR submits a job.
+      assert(jobs(s"draw $name")(make().toLocal).isEmpty, name)
+      val drawn = make()
+      val h = SparkGraph(spark, drawn.edges, drawn.n)
       val ids = jobs(s"build $name")(h.toLocal)
       assert(ids.size == 1, name)
       assert(spark.sparkContext.statusTracker.getJobInfo(ids.head).get.stageIds.length == 1, name)
+      assert(h.toLocal.offsets.sameElements(drawn.toLocal.offsets) && h.toLocal.adj.sameElements(drawn.toLocal.adj), name)
     }
   }
 
   test("toLocal is collected once and then held: later uses submit no collect job") {
-    val h = GraphGen.rmat(spark, 8, 8)
+    val h = SparkGraph(spark, GraphGen.rmat(spark, 8, 8).edges, 256)
     assert(jobs("first toLocal")(h.toLocal).nonEmpty)
     assert(jobs("second toLocal")(h.toLocal).isEmpty)
     assert(h.toLocal eq h.toLocal)
