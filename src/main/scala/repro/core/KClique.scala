@@ -2,7 +2,7 @@ package repro.core
 
 import repro.graph.{LocalGraph, Reorder, SetGraph, SparkGraph}
 import repro.metrics.Metrics
-import repro.setalg.{SetFactory, VertexSet}
+import repro.setalg.{Scratch, SetFactory, VertexSet}
 
 /** k-clique listing / counting (paper §6.3, Alg. 7) — the GMS reformulation
   * of Danisch et al.'s kClist in explicit set algebra.
@@ -33,20 +33,13 @@ object KClique {
     def throughput: Double = Metrics.throughput(cliques, totalSec)
   }
 
-  /** One empty set per recursion depth 0..k under `sg`'s factory: the
-    * recursion writes C_i into `scratch(i)` (C₂ = N⁺(u) is read, not
-    * written), so it allocates no set once these have grown. A task
-    * allocates them once and reuses them for every unit; no two threads
-    * share them.
-    */
-  private[core] def scratch(sg: SetGraph, k: Int): Array[VertexSet] =
-    Array.fill(k + 1)(sg.factory.empty(sg.n))
-
-  /** Recursive counting kernel over the oriented SetGraph; `ci` is C_i.
+  /** Recursive counting kernel over the oriented SetGraph; `ci` is C_i,
+    * and C_{i+1} is written into `scratch(i + 1)` (C₂ = N⁺(u) is read, not
+    * written). A task makes one [[Scratch]] and reuses it for every unit.
     * One level early it adds Σ_{v∈C} |N⁺(v) ∩ C| with the count-only
     * `intersectCount` (Listing 1), so no C_k is materialised.
     */
-  private def countRec(sg: SetGraph, i: Int, k: Int, ci: VertexSet, scratch: Array[VertexSet]): Long = {
+  private def countRec(sg: SetGraph, i: Int, k: Int, ci: VertexSet, scratch: Scratch): Long = {
     if (i == k) return ci.cardinality.toLong
     var total = 0L
     val it = ci.cursor
@@ -63,19 +56,17 @@ object KClique {
   }
 
   /** Count k-cliques of the oriented graph starting from one vertex. */
-  private def countFromVertex(sg: SetGraph, k: Int, u: Int, scratch: Array[VertexSet]): Long =
+  private def countFromVertex(sg: SetGraph, k: Int, u: Int, scratch: Scratch): Long =
     if (k == 1) 1L else countRec(sg, 2, k, sg.neighbors(u), scratch)
 
   /** The k-cliques of the oriented graph that start from vertex u, over a
     * fresh SetGraph, which builds only the sets this one seed touches.
     */
-  def countFromVertex(oriented: LocalGraph, factory: SetFactory, k: Int, u: Int): Long = {
-    val sg = new SetGraph(oriented, factory)
-    countFromVertex(sg, k, u, scratch(sg, k))
-  }
+  def countFromVertex(oriented: LocalGraph, factory: SetFactory, k: Int, u: Int): Long =
+    countFromVertex(new SetGraph(oriented, factory), k, u, new Scratch(factory, oriented.n))
 
   /** Count k-cliques of the oriented graph starting from one directed edge. */
-  private def countFromEdge(sg: SetGraph, k: Int, u: Int, v: Int, scratch: Array[VertexSet]): Long = {
+  private def countFromEdge(sg: SetGraph, k: Int, u: Int, v: Int, scratch: Scratch): Long = {
     val c3 = scratch(3)
     sg.neighbors(u).intersectInto(sg.neighbors(v), c3)
     countRec(sg, 3, k, c3, scratch)
@@ -98,14 +89,14 @@ object KClique {
     val partials = mode match {
       case NodeParallel =>
         SeedRunner.run(sc, sg, oriented.n, tasks) { (sg, seeds) =>
-          val s = scratch(sg, k)
+          val s = new Scratch(sg.factory, sg.n)
           var total = 0L
           while (seeds.hasNext) total += countFromVertex(sg, k, seeds.next(), s)
           total
         }
       case EdgeParallel =>
         SeedRunner.run(sc, sg, oriented.adj.length, tasks) { (sg, arcs) =>
-          val s = scratch(sg, k)
+          val s = new Scratch(sg.factory, sg.n)
           SeedRunner.sumArcs(sg.graph, arcs)(countFromEdge(sg, k, _, _, s))
         }
     }
@@ -130,11 +121,11 @@ object KClique {
   /** Alg. 7's recursion from vertex u of an oriented SetGraph, for listing:
     * calls `leaf(prefix, C_k)` once per (k-1)-clique `prefix` that starts at
     * u (newest vertex first, u last), where C_k holds the vertices that
-    * complete it to a k-clique. C_i is written into `scratch(i)` (from
-    * [[scratch]]), so `leaf` may read C_k only during the call and must not
-    * change it. k ≥ 2.
+    * complete it to a k-clique. C_i is written into `scratch(i)` for
+    * i ≥ 3, so `leaf` may read C_k only during the call and must not change
+    * it. k ≥ 2.
     */
-  private[core] def walk(sg: SetGraph, k: Int, u: Int, scratch: Array[VertexSet])
+  private[core] def walk(sg: SetGraph, k: Int, u: Int, scratch: Scratch)
                         (leaf: (List[Int], VertexSet) => Unit): Unit = {
     def rec(i: Int, ci: VertexSet, prefix: List[Int]): Unit =
       if (i == k) leaf(prefix, ci)
@@ -155,10 +146,10 @@ object KClique {
                 factory: SetFactory = SetFactory.sorted): Seq[Seq[Int]] = {
     if (k == 1) return (0 until local.n).map(Seq(_))
     val sg = new SetGraph(local.orient(rank), factory)
-    val s = scratch(sg, k)
+    val s = new Scratch(factory, local.n)
     val out = scala.collection.mutable.ArrayBuffer.empty[Seq[Int]]
     for (u <- 0 until local.n)
-      walk(sg, k, u, s)((prefix, ck) => ck.iterator.foreach(v => out += (v :: prefix).sorted))
+      walk(sg, k, u, s)((prefix, ck) => ck.toArray.foreach(v => out += (v :: prefix).sorted))
     out.toSeq
   }
 }

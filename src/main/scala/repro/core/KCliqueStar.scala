@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.{LocalGraph, SetGraph, SparkGraph}
-import repro.setalg.{SetFactory, VertexSet}
+import repro.setalg.{Scratch, SetFactory, VertexSet}
 
 /** k-clique-star listing (paper §6.6).
   *
@@ -27,12 +27,12 @@ object KCliqueStar {
     val agg = SeedRunner.run(g.spark.sparkContext, data, local.n, tasks) { case ((und, ori), seeds) =>
       var stars = 0L
       var starVerts = 0L
-      val scratch = KClique.scratch(ori, k)
-      val fold = und.factory.empty(und.n)
+      val scratch = new Scratch(ori.factory, ori.n)
       seeds.foreach(u => KClique.walk(ori, k, u, scratch) { (prefix, ck) =>
         // S of clique v :: prefix is (∩_{p∈prefix} N(p)) ∩ N(v); the prefix
-        // part is shared by every leaf v, and only |S| is needed.
-        val common = commonNeighbors(und, prefix, fold)
+        // part is shared by every leaf v, and only |S| is needed. The walk
+        // writes only depths ≥ 3, so the fold's depth 0 is free.
+        val common = commonNeighbors(und, prefix, scratch)
         val it = ck.cursor
         while (it.hasNext) {
           val s = common.intersectCount(und.neighbors(it.next()))
@@ -48,9 +48,9 @@ object KCliqueStar {
   def listLocal(local: LocalGraph, k: Int, rank: Array[Int],
                 factory: SetFactory = SetFactory.sorted): Seq[(Seq[Int], Seq[Int])] = {
     val und = new SetGraph(local, factory)
-    val fold = factory.empty(local.n)
+    val scratch = new Scratch(factory, local.n)
     KClique.listLocal(local, k, rank, factory).flatMap { c =>
-      val s = commonNeighbors(und, c.toList, fold).toArray.toSeq
+      val s = commonNeighbors(und, c.toList, scratch).toArray.toSeq
       if (s.nonEmpty) Some((c, s)) else None
     }
   }
@@ -58,12 +58,13 @@ object KCliqueStar {
   /** ∩_{v∈vs} N(v) — pure set algebra over the chosen representation. For a
     * clique C this is its star set S: v ∉ N(v), so C's own vertices drop out.
     * For one vertex it is that vertex's shared set; otherwise the fold is
-    * written into `dst`, which the caller owns, the first ∩ into it and each
-    * later one in place. Either way the result is read-only.
+    * written into `scratch(0)`, the first ∩ into it and each later one in
+    * place. Either way the result is read-only.
     */
-  private def commonNeighbors(und: SetGraph, vs: List[Int], dst: VertexSet): VertexSet =
+  private def commonNeighbors(und: SetGraph, vs: List[Int], scratch: Scratch): VertexSet =
     if (vs.tail.isEmpty) und.neighbors(vs.head)
     else {
+      val dst = scratch(0)
       und.neighbors(vs.head).intersectInto(und.neighbors(vs.tail.head), dst)
       var rest = vs.tail.tail
       while (rest.nonEmpty) { dst.intersectInto(und.neighbors(rest.head), dst); rest = rest.tail }

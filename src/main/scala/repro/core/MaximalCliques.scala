@@ -123,10 +123,7 @@ object MaximalCliques {
     val ns = sg.graph.neighbors(v)
     val later = ns.filter(w => rank(w) > rank(v))
     val earlier = ns.filter(w => rank(w) < rank(v))
-    BronKerbosch.fromSeed(v,
-      sg.factory.fromSorted(later, sg.n),
-      sg.factory.fromSorted(earlier, sg.n),
-      sg.neighbors, onClique)
+    BronKerbosch.fromSeed(v, later, earlier, sg, onClique)
   }
 
   /** Outer-level seed with the subgraph optimization: all recursion runs in
@@ -139,7 +136,6 @@ object MaximalCliques {
     val ns = sg.graph.neighbors(v)
     if (ns.isEmpty) { onClique(ArrayBuffer(v)); return } // isolated vertex
     val (h, ids) = sg.graph.inducedSubgraph(ns)
-    val hs = new SetGraph(h, sg.factory)
     val u = ids.length
     val later = Array.range(0, u).filter(i => rank(ids(i)) > rank(v))
     val earlier = Array.range(0, u).filter(i => rank(ids(i)) < rank(v))
@@ -150,7 +146,6 @@ object MaximalCliques {
       while (i < r.length) { orig += ids(r(i)); i += 1 }
       onClique(orig)
     }
-    BronKerbosch.fromSeed(-1, sg.factory.fromSorted(later, u), sg.factory.fromSorted(earlier, u),
-                          hs.neighbors, remapped)
+    BronKerbosch.fromSeed(-1, later, earlier, new SetGraph(h, sg.factory), remapped)
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.graph.{LocalGraph, SetGraph, SparkGraph}
-import repro.setalg.{SetFactory, VertexSet}
+import repro.setalg.{Scratch, SetFactory, VertexSet}
 
 /** Subgraph isomorphism (paper §6.4): VF2/VF3-light-style recursive
   * backtracking, counting embeddings of a small labeled query graph H in a
@@ -79,13 +79,14 @@ object SubgraphIso {
     *
     * The candidates for query vertex q are ∩ N(φ(p)) over the query
     * neighbors p of q mapped before it, read from `sg` without copying when
-    * there is one. A q with none (the root, or a new component of a
-    * disconnected query) scans `pre.cand(q)`, or every target vertex.
+    * there is one, else written into `scratch(pos)`. A q with none (the
+    * root, or a new component of a disconnected query) scans `pre.cand(q)`,
+    * or every target vertex.
     *
-    * `mapping` (query → target, -1 when unmapped) and `used` (the O(n)
-    * marks of mapped target vertices) are a task's scratch, shared by its
-    * units: they are clear on entry, and whatever the prefix install marked
-    * is cleared again on exit.
+    * `mapping` (query → target, -1 when unmapped), `used` (the O(n) marks
+    * of mapped target vertices) and `scratch` are a task's, shared by its
+    * units: `mapping` and `used` are clear on entry, and whatever the prefix
+    * install marked is cleared again on exit.
     *
     * @param prefix mapped target vertices for searchOrder positions 0..prefix.length-1;
     *               a two-vertex prefix must be an edge of the target
@@ -94,7 +95,7 @@ object SubgraphIso {
                         order: Array[Int], earlier: Array[(Array[Int], Array[Int])],
                         induced: Boolean,
                         pre: Precomputed,   // null ⇒ no precompute
-                        mapping: Array[Int], used: Array[Boolean],
+                        mapping: Array[Int], used: Array[Boolean], scratch: Scratch,
                         prefix: Array[Int]): Long = {
     val g = sg.graph
     val h = p.graph
@@ -121,27 +122,34 @@ object SubgraphIso {
       true
     }
 
+    def extend(q: Int, v: Int, pos: Int): Unit =
+      if (feasible(q, v, pos)) {
+        mapping(q) = v; used(v) = true
+        rec(pos + 1)
+        mapping(q) = -1; used(v) = false
+      }
+
     def rec(pos: Int): Unit = {
       if (pos == qn) { count += 1; return }
       val q = order(pos)
       val nbrs = earlier(pos)._1
-      val it: Iterator[Int] =
-        if (nbrs.isEmpty) {
-          if (pre != null) pre.cand(q).iterator else Iterator.range(0, g.n)
-        } else {
-          var s = sg.neighbors(mapping(nbrs(0)))
-          var i = 1
-          while (i < nbrs.length) { s = s.intersect(sg.neighbors(mapping(nbrs(i)))); i += 1 }
-          s.iterator
-        }
-      while (it.hasNext) {
-        val v = it.next()
-        if (feasible(q, v, pos)) {
-          mapping(q) = v; used(v) = true
-          rec(pos + 1)
-          mapping(q) = -1; used(v) = false
-        }
+      if (nbrs.isEmpty && pre == null) {
+        var v = 0
+        while (v < g.n) { extend(q, v, pos); v += 1 }
+        return
       }
+      val cands =
+        if (nbrs.isEmpty) pre.cand(q)
+        else if (nbrs.length == 1) sg.neighbors(mapping(nbrs(0)))
+        else {
+          val dst = scratch(pos)
+          sg.neighbors(mapping(nbrs(0))).intersectInto(sg.neighbors(mapping(nbrs(1))), dst)
+          var i = 2
+          while (i < nbrs.length) { dst.intersectInto(sg.neighbors(mapping(nbrs(i))), dst); i += 1 }
+          dst
+        }
+      val it = cands.cursor
+      while (it.hasNext) extend(q, it.next(), pos)
     }
 
     // Install the prefix as far as it is feasible (an invalid unit yields 0).
@@ -220,7 +228,9 @@ object SubgraphIso {
         val units = if (static) mine.flatMap(t => Iterator.range(chunk(t), chunk(t + 1))) else mine
         val mapping = Array.fill(p.graph.n)(-1)
         val used = new Array[Boolean](sg.n)
-        def count(prefix: Array[Int]) = countFrom(sg, labels, p, order, earlier, induced, pre, mapping, used, prefix)
+        val scratch = new Scratch(sg.factory, sg.n)
+        def count(prefix: Array[Int]) =
+          countFrom(sg, labels, p, order, earlier, induced, pre, mapping, used, scratch, prefix)
         if (byArc) SeedRunner.sumArcs(sg.graph, units)((u, v) => count(Array(u, v)))
         else units.map(v => count(Array(v))).sum
     }.sum

@@ -56,8 +56,8 @@ final class LocalGraph(val offsets: Array[Int], val adj: Array[Int]) extends Ser
 
   /** Induced subgraph on `verts` with vertices remapped to 0..k-1 in the
     * given order; also returns the old-ID array (index = new ID). Used by
-    * the paper's subgraph optimization (BK-ADG-S) and by SI candidate
-    * regions.
+    * the paper's subgraph optimization (BK-ADG-S) and to cut SI queries out
+    * of a target (`SiJob`, `SiBench`).
     */
   def inducedSubgraph(verts: Array[Int]): (LocalGraph, Array[Int]) = {
     val idOf = new java.util.HashMap[Int, Int](verts.length * 2)

@@ -3,7 +3,7 @@ package repro.setalg
 /** The paper's dense bitvector set: one bit per vertex of the universe.
   *
   * O(1) `add` / `remove` / `contains` (the property the paper leans on for
-  * Bron-Kerbosch's dynamic P/X/R sets), word-parallel ∩ / ∪ / \ via bitwise
+  * Bron-Kerbosch's dynamic P/X/R sets), word-parallel ∩ / \ via bitwise
   * ops, popcount-based cardinality. Space is Θ(universe) bits regardless of
   * occupancy — the dense end of the space/perf trade-off (§5.2).
   */
@@ -19,21 +19,16 @@ final class DenseBitSet private[setalg] (private val words: Array[Long],
 
   private def asWords(b: VertexSet): Array[Long] = b.asInstanceOf[DenseBitSet].words
 
-  private def zipNew(b: VertexSet)(op: (Long, Long) => Long): DenseBitSet = {
+  override def diff(b: VertexSet): VertexSet = {
     val bw = asWords(b)
-    val n = words.length
-    val out = new Array[Long](n)
+    val out = new Array[Long](words.length)
     var c = 0; var i = 0
-    while (i < n) {
-      val w = op(words(i), if (i < bw.length) bw(i) else 0L)
+    while (i < words.length) {
+      val w = words(i) & ~bw(i)
       out(i) = w; c += java.lang.Long.bitCount(w); i += 1
     }
     new DenseBitSet(out, c)
   }
-
-  override def intersect(b: VertexSet): VertexSet = zipNew(b)(_ & _)
-  override def diff(b: VertexSet): VertexSet      = zipNew(b)(_ & ~_)
-  override def union(b: VertexSet): VertexSet     = zipNew(b)(_ | _)
 
   override def intersectInto(b: VertexSet, dst: VertexSet): Unit = {
     val bw = asWords(b)

@@ -10,10 +10,7 @@ package repro.setalg
   */
 final class HashVertexSet private[setalg] (initialCapacity: Int) extends VertexSet {
 
-  private var table: Array[Int] = {
-    val cap = math.max(8, Integer.highestOneBit(math.max(1, initialCapacity * 2 - 1)) * 2)
-    Array.fill(cap)(-1)
-  }
+  private var table: Array[Int] = HashVertexSet.emptyTable(initialCapacity)
   private var size = 0
 
   private def mask: Int = table.length - 1
@@ -69,17 +66,16 @@ final class HashVertexSet private[setalg] (initialCapacity: Int) extends VertexS
     }
   }
 
-  override def intersect(b: VertexSet): VertexSet = {
-    val out = new HashVertexSet(math.min(cardinality, b.cardinality))
-    intersectInto(b, out)
-    out
-  }
-
   override def intersectInto(b: VertexSet, dst: VertexSet): Unit = {
     val d = dst.asInstanceOf[HashVertexSet]
-    // Read from a snapshot of the slots when writing into the receiver.
-    val src = if (d eq this) table.clone() else table
-    java.util.Arrays.fill(d.table, -1)
+    val need = math.min(size, b.cardinality)
+    val src = table
+    // Size dst's table for this result, as a new set's would be: a reused
+    // table that kept its largest size would slow every later scan of dst.
+    // The receiver as dst gets a new table, so `src` stays intact.
+    if ((d eq this) || d.table.length != HashVertexSet.tableLength(need))
+      d.table = HashVertexSet.emptyTable(need)
+    else java.util.Arrays.fill(d.table, -1)
     d.size = 0
     var i = 0
     while (i < src.length) { val v = src(i); if (v >= 0 && b.contains(v)) d.add(v); i += 1 }
@@ -97,13 +93,6 @@ final class HashVertexSet private[setalg] (initialCapacity: Int) extends VertexS
     val out = new HashVertexSet(cardinality)
     val it = cursor
     while (it.hasNext) { val v = it.next(); if (!b.contains(v)) out.add(v) }
-    out
-  }
-
-  override def union(b: VertexSet): VertexSet = {
-    val out = new HashVertexSet(cardinality + b.cardinality)
-    iterator.foreach(out.add)
-    b.iterator.foreach(out.add)
     out
   }
 
@@ -130,4 +119,9 @@ object HashVertexSet extends SetFactory {
   }
 
   override def empty(universe: Int): VertexSet = new HashVertexSet(0)
+
+  /** Slots for `n` elements at load ≤ 1/2, a power of two. */
+  private def tableLength(n: Int): Int = math.max(8, Integer.highestOneBit(math.max(1, n * 2 - 1)) * 2)
+
+  private def emptyTable(n: Int): Array[Int] = Array.fill(tableLength(n))(-1)
 }

@@ -17,9 +17,6 @@ final class RoaringSet private[setalg] (private var bm: RoaringBitmap) extends V
 
   private def asRoaring(b: VertexSet): RoaringBitmap = b.asInstanceOf[RoaringSet].bm
 
-  override def intersect(b: VertexSet): VertexSet =
-    new RoaringSet(RoaringBitmap.and(bm, asRoaring(b)))
-
   override def intersectInto(b: VertexSet, dst: VertexSet): Unit = {
     val d = dst.asInstanceOf[RoaringSet]
     if (d eq this) bm.and(asRoaring(b)) else d.bm = RoaringBitmap.and(bm, asRoaring(b))
@@ -30,9 +27,6 @@ final class RoaringSet private[setalg] (private var bm: RoaringBitmap) extends V
 
   override def diff(b: VertexSet): VertexSet =
     new RoaringSet(RoaringBitmap.andNot(bm, asRoaring(b)))
-
-  override def union(b: VertexSet): VertexSet =
-    new RoaringSet(RoaringBitmap.or(bm, asRoaring(b)))
 
   override def add(b: Int): Unit    = bm.add(b)
   override def remove(b: Int): Unit = bm.remove(b)

@@ -5,7 +5,7 @@ import java.util.Arrays
 /** The paper's `SortedSet`: a sorted, duplicate-free `Int` array — the same
   * layout as a CSR neighborhood — whose first `len` slots hold the set, so
   * a scratch set keeps its array as the results written into it shrink and
-  * grow. Bulk ∩ / ∪ / \ use linear merging; when the operand sizes are
+  * grow. ∩ and \ use linear merging; when the operand sizes are
   * lopsided (>32× apart) intersection switches to the "galloping" scheme
   * (binary-search each element of the small set in the large one), matching
   * the paper's §6.5 merge-vs-gallop tuning knob.
@@ -53,12 +53,6 @@ final class SortedArraySet private[setalg] (private var elems: Array[Int], priva
       k
     }
 
-  override def intersect(b: VertexSet): VertexSet = {
-    val out = new SortedArraySet(new Array[Int](math.min(len, asSorted(b).len)), 0)
-    intersectInto(b, out)
-    out
-  }
-
   override def intersectInto(b: VertexSet, dst: VertexSet): Unit = {
     val o = asSorted(b); val d = asSorted(dst)
     val need = math.min(len, o.len)
@@ -104,21 +98,6 @@ final class SortedArraySet private[setalg] (private var elems: Array[Int], priva
       if (j >= o.len || bb(j) != x) { out(k) = x; k += 1 }
       i += 1
     }
-    new SortedArraySet(out, k)
-  }
-
-  override def union(b: VertexSet): VertexSet = {
-    val o = asSorted(b); val bb = o.elems
-    val out = new Array[Int](len + o.len)
-    var i = 0; var j = 0; var k = 0
-    while (i < len && j < o.len) {
-      val x = elems(i); val y = bb(j)
-      if (x == y) { out(k) = x; k += 1; i += 1; j += 1 }
-      else if (x < y) { out(k) = x; k += 1; i += 1 }
-      else { out(k) = y; k += 1; j += 1 }
-    }
-    while (i < len) { out(k) = elems(i); k += 1; i += 1 }
-    while (j < o.len) { out(k) = bb(j); k += 1; j += 1 }
     new SortedArraySet(out, k)
   }
 

@@ -2,18 +2,16 @@ package repro.setalg
 
 /** The GMS set interface (paper Listing 1), ported to Scala: the operators
   * the kernels use. A `VertexSet` holds vertex IDs (non-negative `Int`s) and
-  * offers ∩ (`intersect`, its in-place form `intersectInto`, and
-  * `intersectCount` for |A ∩ B|), \ (`diff`), ∪ (`union`), ∈ (`contains`),
-  * |·| (`cardinality`, `isEmpty`), the single-element `add` / `remove` that
-  * Bron-Kerbosch applies to P and X, ascending `cursor` / `iterator` /
-  * `toArray`, and `storageBytes` (Fig. 8c).
+  * offers ∩ (the in-place `intersectInto`, and `intersectCount` for
+  * |A ∩ B|), \ (`diff`), ∈ (`contains`), |·| (`cardinality`, `isEmpty`),
+  * the single-element `add` / `remove` that Bron-Kerbosch applies to P and
+  * X, ascending `cursor` / `toArray`, and `storageBytes` (Fig. 8c).
   *
-  * `intersect`, `diff` and `union` return **new** sets (the paper's default,
-  * which avoids aliasing bugs in recursive Bron-Kerbosch). Three operations
-  * mutate a set: `add` / `remove` mutate the receiver, and `intersectInto`
-  * overwrites a destination set that the caller owns. That destination is a
-  * scratch set from [[SetFactory.empty]] or the receiver itself (the paper's
-  * `intersect_inplace`), never a set shared with other readers, such as a
+  * `diff` returns a **new** set. Three operations mutate a set: `add` /
+  * `remove` mutate the receiver, and `intersectInto` overwrites a
+  * destination set that the caller owns. That destination is a set from a
+  * [[Scratch]] or the receiver itself (the paper's `intersect_inplace`),
+  * never a set shared with other readers, such as a
   * [[repro.graph.SetGraph]] neighbourhood. The operand of a bulk operation,
   * and the destination of `intersectInto`, have the receiver's
   * representation and universe (the sorted, roaring and dense sets read them
@@ -28,9 +26,6 @@ trait VertexSet extends Serializable {
   /** b ∈ A */
   def contains(b: Int): Boolean
 
-  /** A ∩ B as a new set. */
-  def intersect(b: VertexSet): VertexSet
-
   /** dst = A ∩ B, overwriting what `dst` held. `dst` is the receiver or a
     * set that is neither operand. The sorted and dense sets allocate nothing
     * once `dst` has grown to the result's size; the roaring and hash sets
@@ -44,9 +39,6 @@ trait VertexSet extends Serializable {
   /** A \ B as a new set. */
   def diff(b: VertexSet): VertexSet
 
-  /** A ∪ B as a new set. */
-  def union(b: VertexSet): VertexSet
-
   /** A = A ∪ {b} (mutating). */
   def add(b: Int): Unit
 
@@ -59,15 +51,6 @@ trait VertexSet extends Serializable {
     * change while the cursor is in use.
     */
   def cursor: IntCursor
-
-  /** Elements in ascending order, as a Scala iterator (boxes each element). */
-  final def iterator: Iterator[Int] = {
-    val c = cursor
-    new Iterator[Int] {
-      override def hasNext: Boolean = c.hasNext
-      override def next(): Int = c.next()
-    }
-  }
 
   /** Elements as a fresh ascending array (paper's `toArray`). */
   def toArray: Array[Int] = {
@@ -83,7 +66,7 @@ trait VertexSet extends Serializable {
     */
   def storageBytes: Long
 
-  override def toString: String = iterator.mkString("{", ",", "}")
+  override def toString: String = toArray.mkString("{", ",", "}")
 }
 
 /** An ascending read of a set's elements that returns primitive `Int`s, so
@@ -115,10 +98,26 @@ trait SetFactory extends Serializable {
     */
   def fromSorted(sorted: Array[Int], universe: Int): VertexSet
 
-  /** A new empty set, owned by the caller: the scratch destination of
-    * [[VertexSet.intersectInto]].
+  /** A new empty set, owned by the caller; a [[Scratch]] makes its sets
+    * with it.
     */
   def empty(universe: Int): VertexSet
+}
+
+/** The destinations of [[VertexSet.intersectInto]] for one recursion: one
+  * empty set per depth, made by `factory` over `universe` on first use and
+  * then reused, so a kernel allocates no set once they have grown (the
+  * roaring and hash sets still may). One thread owns a scratch; a caller
+  * reads depth d's set until it next writes there.
+  */
+final class Scratch(factory: SetFactory, universe: Int) {
+  private var sets = new Array[VertexSet](8)
+
+  def apply(depth: Int): VertexSet = {
+    if (depth >= sets.length) sets = java.util.Arrays.copyOf(sets, math.max(depth + 1, 2 * sets.length))
+    if (sets(depth) == null) sets(depth) = factory.empty(universe)
+    sets(depth)
+  }
 }
 
 object SetFactory {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.graph.{GraphGen, LocalGraph, Reorder, SparkGraph}
+import repro.graph.{GraphGen, LocalGraph, Reorder, SetGraph, SparkGraph}
 import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicLong
 import repro.setalg.{SetFactory, VertexSet}
@@ -136,7 +136,23 @@ class KCliqueSpec extends SparkSpec {
       "KClique.count EP" -> (f => KClique.count(g, 5, rank, KClique.EdgeParallel, f, tasks = 1)),
       "KCliqueStar.count" -> (f => KCliqueStar.count(g, 4, rank, f, tasks = 1)),
       "KClique.listLocal" -> (f => KClique.listLocal(local, 5, rank, f)),
-      "KCliqueStar.listLocal" -> (f => KCliqueStar.listLocal(local, 4, rank, f)))
+      "KCliqueStar.listLocal" -> (f => KCliqueStar.listLocal(local, 4, rank, f))) ++
+      Seq(false, true).flatMap { sub =>
+        Seq[(String, SetFactory => Any)](
+          s"MaximalCliques.mineLocal sub=$sub" -> { f =>
+            val bk = MaximalCliques.BkGmsDgr.copy(sets = f, subgraphOpt = sub)
+            val r = MaximalCliques.mineLocal(spark, local, rank, bk, tasks = 1)
+            (r.cliques, r.maxSize, r.sumSizes)
+          },
+          s"MaximalCliques.listLocal sub=$sub" -> (f => MaximalCliques.listLocal(local, rank, f, sub)))
+      } ++
+      SubgraphIso.allVariants.map { v =>
+        // K4's last vertex in the search order has three mapped neighbours,
+        // so its candidates take the in-place ∩ step.
+        val k4 = SubgraphIso.Pattern(LocalGraph.complete(4), Array.fill(4)(0))
+        s"SubgraphIso.count ${v.name}" -> ((f: SetFactory) =>
+          SubgraphIso.count(g, Array.fill(local.n)(0), k4, induced = false, v, f, tasks = 1))
+      }
     assert(KClique.count(g, 5, rank) > 0)
     for (f <- SetFactory.all; (name, run) <- kernels) {
       val rec = new RecordingFactory(f)
@@ -147,11 +163,14 @@ class KCliqueSpec extends SparkSpec {
   }
 }
 
-/** A set factory that records every set `inner` builds from sorted input,
-  * which is every neighbourhood of a SetGraph on it, with its elements at
-  * build time. Scratch sets come from `empty` and are not recorded. The
-  * record lives in the JVM, so it also sees the sets that Spark tasks build
-  * from a deserialised copy of the factory.
+/** A set factory that records every neighbourhood a SetGraph on it builds,
+  * with its elements at build time. A neighbourhood is a set built from
+  * sorted input while `SetGraph.neighbors` is on the calling thread's stack;
+  * other sets built from sorted input, such as BK's seed sets P and X (which
+  * BK mutates by design) and SI-Pre's candidate sets, are not recorded, nor
+  * are the scratch sets from `empty`. The record lives in the JVM, so it also
+  * sees the sets that Spark tasks build from a deserialised copy of the
+  * factory.
   */
 final class RecordingFactory(inner: SetFactory) extends SetFactory {
   private val id = RecordingFactory.ids.getAndIncrement()
@@ -161,7 +180,9 @@ final class RecordingFactory(inner: SetFactory) extends SetFactory {
 
   override def fromSorted(sorted: Array[Int], universe: Int): VertexSet = {
     val s = inner.fromSorted(sorted, universe)
-    record.add((s, s.toArray.toSeq))
+    if (Thread.currentThread.getStackTrace.exists(e =>
+          e.getClassName == classOf[SetGraph].getName && e.getMethodName == "neighbors"))
+      record.add((s, s.toArray.toSeq))
     s
   }
 

@@ -89,8 +89,8 @@ class SubgraphIsoSpec extends SparkSpec {
     val target = GraphGen.erLocal(7, 0.4, 33)
     val g = SparkGraph.fromLocal(spark, target)
     val want = SubgraphIso.bruteForce(target, unl(7), p, induced = false)
-    for (v <- SubgraphIso.allVariants) {
-      assert(SubgraphIso.count(g, unl(7), p, induced = false, v) == want)
+    for (v <- SubgraphIso.allVariants; f <- SetFactory.all) {
+      assert(SubgraphIso.count(g, unl(7), p, induced = false, v, f) == want, s"variant=${v.name} sets=${f.name}")
     }
   }
 
@@ -148,16 +148,19 @@ class SubgraphIsoSpec extends SparkSpec {
   private val isoLabels = Array.tabulate(16)(_ % 2)
   private val pawQuery = SubgraphIso.Pattern( // triangle 0-1-2 plus pendant 3 on 2
     LocalGraph.fromEdges(4, Seq((0, 1), (1, 2), (0, 2), (2, 3))), Array(0, 1, 0, 1))
+  // The paw's vertices have at most two mapped neighbours when they are
+  // reached; K4's last has three, so its candidates take the in-place ∩ step.
+  private val k4Query = SubgraphIso.Pattern(LocalGraph.complete(4), Array(0, 1, 0, 1))
 
   for (f <- SetFactory.all) {
     test(s"${f.name}: every variant × tasks ∈ {1, 3, 64} matches brute force on a target with isolated vertices") {
       val g = SparkGraph.fromLocal(spark, isoTarget)
-      for (induced <- Seq(false, true)) {
-        val want = SubgraphIso.bruteForce(isoTarget, isoLabels, pawQuery, induced)
-        assert(want > 0, s"induced=$induced")
+      for ((qName, query) <- Seq("paw" -> pawQuery, "K4" -> k4Query); induced <- Seq(false, true)) {
+        val want = SubgraphIso.bruteForce(isoTarget, isoLabels, query, induced)
+        assert(want > 0, s"$qName induced=$induced")
         for (v <- SubgraphIso.allVariants; tasks <- Seq(1, 3, 64)) {
-          assert(SubgraphIso.count(g, isoLabels, pawQuery, induced, v, f, tasks) == want,
-                 s"variant=${v.name} tasks=$tasks induced=$induced")
+          assert(SubgraphIso.count(g, isoLabels, query, induced, v, f, tasks) == want,
+                 s"$qName variant=${v.name} tasks=$tasks induced=$induced")
         }
       }
     }
