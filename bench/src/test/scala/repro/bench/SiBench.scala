@@ -6,8 +6,8 @@ import repro.graph.GraphGen
 import repro.metrics.Metrics
 
 /** Fig. 7 — subgraph isomorphism: the four GMS variants (static split,
-  * depth-2 work splitting, stealing emulated by strided placement,
-  * candidate precompute) across a thread sweep, on a labeled ER target —
+  * depth-2 work splitting, stealing stood in for by units claimed one at
+  * a time, candidate precompute) across a thread sweep, on a labeled ER target —
   * the §8.5 setup (labeled Erdős-Rényi) scaled to laptop size.
   */
 class SiBench extends SparkSpec {

@@ -20,13 +20,13 @@ object JarvisPatrick {
     val local = g.toLocal
     // Per vertex a: its top-knn neighbours by (score desc, ID), and those of
     // them it shares at least minShared neighbours with.
-    val (top, shared) = SeedRunner.byUnit(SeedRunner.run(g.spark.sparkContext, local, local.n, 0) { (lg, seeds) =>
+    val (top, shared) = SeedRunner.byUnit(local.n, SeedRunner.run(g.spark.sparkContext, local, local.n, 0) { (lg, seeds) =>
       val acc = new Similarity.Wedges(lg)
       seeds.map { a =>
         acc.row(a, -1)
         // Neighbours ascend and sortWith is stable, so equal scores stay in ID order.
         val best = lg.neighbors(a).sortWith(acc.score(measure, a, _) > acc.score(measure, a, _)).take(knn)
-        (best, best.filter(acc.cn(_) >= minShared))
+        (a, (best, best.filter(acc.cn(_) >= minShared)))
       }.toArray
     }).unzip
     val kept = for (a <- 0 until local.n; b <- shared(a) if a < b && top(b).contains(a)) yield (a, b)

@@ -35,7 +35,7 @@ object KClique {
 
   /** Recursive counting kernel over the oriented SetGraph; `ci` is C_i,
     * and C_{i+1} is written into `scratch(i + 1)` (C₂ = N⁺(u) is read, not
-    * written). A task makes one [[Scratch]] and reuses it for every unit.
+    * written). A thread makes one [[Scratch]] and reuses it for every unit.
     * One level early it adds Σ_{v∈C} |N⁺(v) ∩ C| with the count-only
     * `intersectCount` (Listing 1), so no C_k is materialised.
     */

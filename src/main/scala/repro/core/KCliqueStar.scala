@@ -28,11 +28,11 @@ object KCliqueStar {
       var stars = 0L
       var starVerts = 0L
       val scratch = new Scratch(ori.factory, ori.n)
+      val fold = new Fold(und, k - 1)
       seeds.foreach(u => KClique.walk(ori, k, u, scratch) { (prefix, ck) =>
         // S of clique v :: prefix is (∩_{p∈prefix} N(p)) ∩ N(v); the prefix
-        // part is shared by every leaf v, and only |S| is needed. The walk
-        // writes only depths ≥ 3, so the fold's depth 0 is free.
-        val common = commonNeighbors(und, prefix, scratch)
+        // part is shared by every leaf v, and only |S| is needed.
+        val common = fold(prefix)
         val it = ck.cursor
         while (it.hasNext) {
           val s = common.intersectCount(und.neighbors(it.next()))
@@ -47,27 +47,47 @@ object KCliqueStar {
   /** Driver-side reference: list (clique, starSet) pairs. */
   def listLocal(local: LocalGraph, k: Int, rank: Array[Int],
                 factory: SetFactory = SetFactory.sorted): Seq[(Seq[Int], Seq[Int])] = {
-    val und = new SetGraph(local, factory)
-    val scratch = new Scratch(factory, local.n)
+    val fold = new Fold(new SetGraph(local, factory), k)
     KClique.listLocal(local, k, rank, factory).flatMap { c =>
-      val s = commonNeighbors(und, c.toList, scratch).toArray.toSeq
+      val s = fold(c.toList).toArray.toSeq
       if (s.nonEmpty) Some((c, s)) else None
     }
   }
 
-  /** ∩_{v∈vs} N(v) — pure set algebra over the chosen representation. For a
-    * clique C this is its star set S: v ∉ N(v), so C's own vertices drop out.
-    * For one vertex it is that vertex's shared set; otherwise the fold is
-    * written into `scratch(0)`, the first ∩ into it and each later one in
-    * place. Either way the result is read-only.
+  /** ∩_{p∈vs} N(p) for lists `vs` of `len` vertices, newest first (a
+    * walk's prefixes): pure set algebra over the chosen representation. For
+    * a clique C this is its star set S, since v ∉ N(v) drops C's own
+    * vertices. Counting from the oldest vertex p₀, it keeps one fold per
+    * depth, F₀ = N(p₀) and F_j = F_{j-1} ∩ N(p_j) in `scratch(j)`, and
+    * recomputes them from the first vertex that differs from the previous
+    * list's, so a walk pays one ∩ per new prefix vertex. The result is
+    * read-only, and valid until the next call.
     */
-  private def commonNeighbors(und: SetGraph, vs: List[Int], scratch: Scratch): VertexSet =
-    if (vs.tail.isEmpty) und.neighbors(vs.head)
-    else {
-      val dst = scratch(0)
-      und.neighbors(vs.head).intersectInto(und.neighbors(vs.tail.head), dst)
-      var rest = vs.tail.tail
-      while (rest.nonEmpty) { dst.intersectInto(und.neighbors(rest.head), dst); rest = rest.tail }
-      dst
+  private final class Fold(und: SetGraph, len: Int) {
+    private val verts = Array.fill(len)(-1)
+    private val folds = new Array[VertexSet](len)
+    private val scratch = new Scratch(und.factory, und.n)
+
+    def apply(vs: List[Int]): VertexSet = {
+      var from = len
+      var rest = vs
+      var j = len - 1
+      while (j >= 0) {
+        if (verts(j) != rest.head) { verts(j) = rest.head; from = j }
+        rest = rest.tail
+        j -= 1
+      }
+      while (from < len) {
+        folds(from) =
+          if (from == 0) und.neighbors(verts(0))
+          else {
+            val dst = scratch(from)
+            folds(from - 1).intersectInto(und.neighbors(verts(from)), dst)
+            dst
+          }
+        from += 1
+      }
+      folds(len - 1)
     }
+  }
 }

@@ -9,9 +9,9 @@ import scala.collection.mutable.ArrayBuffer
 /** Distributed maximal clique listing (paper §6.2, Alg. 6).
   *
   * The outer loop over ordered vertices becomes a Spark job: a [[SeedRunner]]
-  * broadcasts the [[SetGraph]] and the vertex order, each task runs the
-  * [[BronKerbosch]] kernel for its share of seed vertices, and per-task
-  * statistics are reduced.
+  * broadcasts the [[SetGraph]] and the vertex order, each of its threads
+  * runs the [[BronKerbosch]] kernel on the seed vertices it claims, and
+  * per-thread statistics are reduced.
   * That mirrors the paper's OpenMP parallel-for over the outermost level
   * (their nested-parallel variant "proved consistently slower", §6.2 — we
   * parallelize only the outer level, as their final version does).
@@ -56,9 +56,8 @@ object MaximalCliques {
     def throughput: Double = Metrics.throughput(cliques, totalSec)
   }
 
-  /** Count maximal cliques under `variant`. `tasks` caps the number of Spark
-    * partitions (0 ⇒ 4× default parallelism; pass k for the Fig.-8b
-    * thread-scaling sweep).
+  /** Count maximal cliques under `variant` on `tasks` threads (0 ⇒ the
+    * default parallelism; pass k for the Fig.-8b thread-scaling sweep).
     */
   def run(g: SparkGraph, variant: Variant, tasks: Int = 0): Result = {
     val local = g.toLocal

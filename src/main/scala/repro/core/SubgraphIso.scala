@@ -13,17 +13,18 @@ import repro.setalg.{Scratch, SetFactory, VertexSet}
   * filtered by label / degree / injectivity (and non-edges for induced).
   *
   * Parallel variants mirror the paper's optimizations. All run on
-  * [[SeedRunner]] over T tasks (the Fig.-7 thread axis); a unit is a target
-  * vertex as φ(q₀), or an arc (φ(q₀), φ(q₁)) of the target CSR:
-  *  - [[Base]]       — vertex units, statically split: task t gets the
-  *                     contiguous chunk [t·U/T, (t+1)·U/T) of the U units
-  *                     (the VF3-light parallel baseline, load imbalance included);
+  * [[SeedRunner]]'s T threads (the Fig.-7 thread axis), which claim units
+  * one at a time; a unit is a target vertex as φ(q₀), or an arc
+  * (φ(q₀), φ(q₁)) of the target CSR:
+  *  - [[Base]]       — vertex units, statically split: the U units form T
+  *                     contiguous chunks [t·U/T, (t+1)·U/T), and a thread
+  *                     claims a chunk whole (the VF3-light parallel
+  *                     baseline, load imbalance included);
   *  - [[WorkSplit]]  — split work at recursion depth 2: arc units, a much
   *                     finer grain, in the same static chunks;
-  *  - [[WorkSteal]]  — the paper's lock-free stealing queue emulated by
-  *                     placement: arc units strided over the tasks
-  *                     (t, t+T, …), the balance a stealing queue converges
-  *                     to (no shared queue exists across Spark executors);
+  *  - [[WorkSteal]]  — stands in for the paper's lock-free work-stealing
+  *                     queue: arc units claimed one at a time, so an idle
+  *                     thread always takes the next arc;
   *  - [[Precompute]] — WorkSteal plus per-query-vertex candidate sets
   *                     prefiltered by (label, degree, neighbor-degree sum)
   *                     ahead of the search (the paper's "precompute scheme").
@@ -84,7 +85,7 @@ object SubgraphIso {
     * or every target vertex.
     *
     * `mapping` (query → target, -1 when unmapped), `used` (the O(n) marks
-    * of mapped target vertices) and `scratch` are a task's, shared by its
+    * of mapped target vertices) and `scratch` are a thread's, shared by its
     * units: `mapping` and `used` are clear on entry, and whatever the prefix
     * install marked is cleared again on exit.
     *
@@ -196,7 +197,7 @@ object SubgraphIso {
     Precomputed(cand, gSig, hSig)
   }
 
-  /** Distributed embedding count over T tasks, T = `tasks` if positive,
+  /** Distributed embedding count on T threads, T = `tasks` if positive,
     * else the default parallelism. Queries whose q₁ is not adjacent to q₀
     * use vertex units under every variant. An isolated target vertex has no
     * arc, and could not map a q₀ of degree ≥ 1 anyway.

@@ -18,13 +18,13 @@ object TriangleCount {
 
   /** t(v) = ½ Σ_{u∈N(v)} |N(u) ∩ N(v)|, the triangles on each vertex v. */
   def perVertexLocal(spark: SparkSession, local: LocalGraph): Array[Long] =
-    SeedRunner.byUnit(SeedRunner.run(spark.sparkContext, new SetGraph(local, SetFactory.sorted), local.n, 0) {
+    SeedRunner.byUnit(local.n, SeedRunner.run(spark.sparkContext, new SetGraph(local, SetFactory.sorted), local.n, 0) {
       (sg, vs) => vs.map { v =>
         val nv = sg.neighbors(v)
         val c = nv.cursor
         var t = 0L
         while (c.hasNext) t += sg.neighbors(c.next()).intersectCount(nv)
-        t / 2
+        (v, t / 2)
       }.toArray
     })
 
