@@ -144,6 +144,7 @@ object KClique {
   /** List all k-cliques (sorted) — test-scale only, driver-side. */
   def listLocal(local: LocalGraph, k: Int, rank: Array[Int],
                 factory: SetFactory = SetFactory.sorted): Seq[Seq[Int]] = {
+    require(k >= 1, s"k-clique listing needs k ≥ 1, got k = $k")
     if (k == 1) return (0 until local.n).map(Seq(_))
     val sg = new SetGraph(local.orient(rank), factory)
     val s = new Scratch(factory, local.n)

@@ -47,8 +47,9 @@ object KCliqueStar {
   /** Driver-side reference: list (clique, starSet) pairs. */
   def listLocal(local: LocalGraph, k: Int, rank: Array[Int],
                 factory: SetFactory = SetFactory.sorted): Seq[(Seq[Int], Seq[Int])] = {
+    val cliques = KClique.listLocal(local, k, rank, factory)
     val fold = new Fold(new SetGraph(local, factory), k)
-    KClique.listLocal(local, k, rank, factory).flatMap { c =>
+    cliques.flatMap { c =>
       val s = fold(c.toList).toArray.toSeq
       if (s.nonEmpty) Some((c, s)) else None
     }

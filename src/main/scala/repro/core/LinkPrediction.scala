@@ -1,16 +1,16 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.graph.SparkGraph
+import org.apache.spark.sql.catalyst.expressions.XXH64
+import repro.graph.{LocalGraph, SparkGraph}
+import scala.collection.mutable
 
 /** Link prediction with accuracy assessment (paper §6.7).
   *
   * E_rndm ⊆ E is removed at random; the predictor scores candidate pairs of
   * the sparsified graph E_sparse = E \ E_rndm with a similarity measure S,
   * predicts the top-|E_rndm| non-adjacent pairs, and the effectiveness is
-  * eff = |E_predict ∩ E_rndm| (reported also as a ratio). The split is
-  * dataflow; the scoring runs on the collected CSR of E_sparse.
+  * eff = |E_predict ∩ E_rndm| (reported also as a ratio). The split and the
+  * scoring both run on the CSR; the scoring is one [[SeedRunner.run]].
   */
 object LinkPrediction {
 
@@ -21,37 +21,42 @@ object LinkPrediction {
   /** Prediction order of (score, u, v): score descending, then u, then v. */
   private val predictionOrder = Ordering.Tuple3(Ordering.Double.TotalOrdering.reverse, Ordering.Int, Ordering.Int)
 
-  /** Split the edge set: (E_sparse graph, E_rndm as (u,v) u<v).
+  /** Split the CSR's edges: (E_sparse as a CSR, E_rndm as (u, v), u < v).
     *
     * Edge (u, v) is removed iff a uniform draw in [0, 1), the top 53 bits of
-    * `xxhash64(u, v, seed)`, falls below `frac`. The draw depends on nothing
-    * but (u, v, seed), so the split does not change with the edge set's
-    * partitioning, and both halves can be recomputed without caching.
+    * Spark's XXH64 of (u, v, seed), chained as Spark SQL hashes an `int`,
+    * an `int` and a `long` column from its default seed 42, falls below
+    * `frac`. The draw depends on nothing but (u, v, seed).
     */
-  def split(g: SparkGraph, frac: Double, seed: Long): (SparkGraph, DataFrame) = {
-    import g.spark.implicits._
-    val draw = shiftrightunsigned(xxhash64($"src", $"dst", lit(seed)), 11).cast("double") / math.pow(2, 53)
-    val canon = g.canonicalEdges.select($"src" as "u", $"dst" as "v", (draw < frac) as "drop")
-    val removed = canon.where($"drop").select($"u", $"v")
-    val keptEdges = canon.where(!$"drop").select($"u" as "src", $"v" as "dst")
-    (SparkGraph.fromEdgeList(g.spark, keptEdges, g.n), removed)
+  def split(g: LocalGraph, frac: Double, seed: Long): (LocalGraph, Set[(Int, Int)]) = {
+    val (removed, kept) = g.edgeList.partition { case (u, v) =>
+      (XXH64.hashLong(seed, XXH64.hashInt(v, XXH64.hashInt(u, 42))) >>> 11).toDouble / (1L << 53) < frac
+    }
+    (LocalGraph.fromEdges(g.n, kept), removed.toSet)
   }
 
   /** Run the full §6.7 protocol. The candidates are the non-adjacent pairs
-    * of E_sparse with ≥1 common neighbour, scored in the tasks; each task
-    * keeps its best |E_rndm| in a bounded heap (`takeOrdered`), and the
-    * driver merges the heaps.
+    * of E_sparse with ≥1 common neighbour, scored on the runner's threads;
+    * each thread keeps its best |E_rndm| in a bounded heap, and the driver
+    * takes the best |E_rndm| of the threads' heaps.
     */
   def run(g: SparkGraph, measure: Similarity.Measure = Similarity.Jaccard,
           frac: Double = 0.1, seed: Long = 42): Result = {
-    import g.spark.implicits._
-    val (sparse, removedDf) = split(g, frac, seed)
-    val removed = removedDf.as[(Int, Int)].collect().toSet
-    if (removed.isEmpty) return Result(0, 0)
-    val candidates = Similarity.pairs(sparse, edges = false) { (acc, u, v) =>
-      (acc.score(measure, u, v), u, v, acc.g.hasEdge(u, v))
+    val (sparse, removed) = split(g.toLocal, frac, seed)
+    val k = removed.size
+    if (k == 0) return Result(0, 0)
+    val best = Similarity.pairs(g.spark.sparkContext, sparse, edges = false) { (acc, ps) =>
+      val heap = mutable.PriorityQueue.empty(predictionOrder) // head: the worst candidate kept
+      ps.foreach { case (u, v) =>
+        if (!acc.g.hasEdge(u, v)) {
+          val c = (acc.score(measure, u, v), u, v)
+          if (heap.size < k) heap += c
+          else if (predictionOrder.lt(c, heap.head)) { heap.dequeue(); heap += c }
+        }
+      }
+      heap.toArray
     }
-    val predicted = candidates.collect { case (s, u, v, false) => (s, u, v) }.takeOrdered(removed.size)(predictionOrder)
-    Result(removed.size, predicted.count { case (_, u, v) => removed((u, v)) })
+    val predicted = best.flatten.sorted(predictionOrder).take(k)
+    Result(k, predicted.count { case (_, u, v) => removed((u, v)) })
   }
 }

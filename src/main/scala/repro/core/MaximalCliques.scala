@@ -93,12 +93,6 @@ object MaximalCliques {
            stats.map(_._2).sum, 0.0, mineSec)
   }
 
-  /** List all maximal cliques (sorted vertex lists) — test-scale only. */
-  def list(g: SparkGraph, variant: Variant): Seq[Seq[Int]] = {
-    val local = g.toLocal
-    listLocal(local, Reorder.rank(local, variant.order), variant.sets, variant.subgraphOpt)
-  }
-
   /** Driver-side listing against a precomputed rank — reference for tests. */
   def listLocal(graph: LocalGraph, rank: Array[Int], factory: SetFactory,
                 subgraphOpt: Boolean = false): Seq[Seq[Int]] = {

@@ -3,7 +3,6 @@ package repro.core
 import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import org.apache.spark.{SparkContext, TaskContext, TaskKilledException}
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.rdd.RDD
 import repro.graph.LocalGraph
 import scala.reflect.ClassTag
 
@@ -106,20 +105,6 @@ object SeedRunner {
       unit = -1
       u
     }
-  }
-
-  /** [[run]] for tasks that emit rows: an RDD of what `task(data, myUnits)`
-    * yields in each of T Spark tasks (T = `tasks` if positive, else 4× the
-    * default parallelism), task t taking units `t, t+T, t+2T, …`, collected
-    * nowhere. The placement is fixed because the RDD is lazy and must yield
-    * the same rows each time it is evaluated. `data` travels in the task
-    * closure, which Spark ships once per stage, and not in a broadcast: no
-    * point exists at which a broadcast could be destroyed.
-    */
-  def rows[D, R: ClassTag](sc: SparkContext, data: D, units: Int, tasks: Int)
-                          (task: (D, Iterator[Int]) => Iterator[R]): RDD[R] = {
-    val nTasks = if (tasks > 0) tasks else sc.defaultParallelism * 4
-    sc.parallelize(0 until nTasks, nTasks).flatMap(t => task(data, Iterator.range(t, units, nTasks)))
   }
 
   /** The values of a [[run]] whose threads emit one `(unit, value)` pair

@@ -1,16 +1,18 @@
 package repro.core
 
-import org.apache.spark.rdd.RDD
+import org.apache.spark.SparkContext
 import org.apache.spark.sql.DataFrame
 import repro.graph.{LocalGraph, SparkGraph}
 import scala.reflect.ClassTag
+import scala.reflect.runtime.universe.TypeTag
 
 /** Vertex similarity (paper §6.5, Table 4) — the seven GMS measures, all
   * functions of |N(u) ∩ N(v)| (common neighbours), degrees and
   * per-common-neighbour weights. The pairs come from [[Wedges]] rows over
-  * the collected CSR, in Spark tasks that emit them ([[SeedRunner.rows]]);
-  * no pair passes through the driver. Every measure is DuckDB-checkable
-  * via `Oracle`.
+  * the collected CSR, on the threads of one [[SeedRunner.run]]; the
+  * pair-valued results are collected to the driver and lifted to a
+  * DataFrame, as [[SparkGraph.perVertex]] lifts per-vertex arrays. Every
+  * measure is DuckDB-checkable via `Oracle`.
   */
 object Similarity {
 
@@ -75,42 +77,49 @@ object Similarity {
     }
   }
 
-  /** `f(acc, u, v)` in the tasks for every u < v that share a neighbour,
-    * or, with `edges`, for every edge u < v.
+  /** `thread(acc, ps)` on each thread of one [[SeedRunner.run]] over the
+    * rows of `g`; returns each thread's result. `ps` yields, row by row in
+    * the thread's ascending seeds u, every (u, v) with u < v that share a
+    * neighbour, or, with `edges`, every edge u < v, while `acc` holds row u.
     */
-  private[core] def pairs[R: ClassTag](g: SparkGraph, edges: Boolean)(f: (Wedges, Int, Int) => R): RDD[R] = {
-    val local = g.toLocal
-    SeedRunner.rows(g.spark.sparkContext, local, local.n, 0) { (lg, seeds) =>
+  private[core] def pairs[R: ClassTag](sc: SparkContext, g: LocalGraph, edges: Boolean)
+                                      (thread: (Wedges, Iterator[(Int, Int)]) => R): Array[R] =
+    SeedRunner.run(sc, g, g.n, 0) { (lg, seeds) =>
       val acc = new Wedges(lg)
-      seeds.flatMap { u =>
+      thread(acc, seeds.flatMap { u =>
         acc.row(u, u)
-        (if (edges) lg.neighbors(u).filter(_ > u) else acc.touched.take(acc.size)).map(f(acc, u, _))
-      }
+        (if (edges) lg.neighbors(u).filter(_ > u) else acc.touched.take(acc.size)).iterator.map((u, _))
+      })
     }
+
+  /** The row `f(acc, u, v)` of every pair [[pairs]] yields, as a DataFrame
+    * of the columns `cols`.
+    */
+  private def lift[R <: Product : ClassTag : TypeTag](g: SparkGraph, edges: Boolean, cols: String*)
+                                                     (f: (Wedges, Int, Int) => R): DataFrame = {
+    val rows = pairs(g.spark.sparkContext, g.toLocal, edges) { (acc, ps) =>
+      ps.map { case (u, v) => f(acc, u, v) }.toArray
+    }
+    g.spark.createDataFrame(rows.flatten.toSeq).toDF(cols: _*)
   }
 
   /** (u, v, cn, w_aa, w_ra) for all u < v with ≥1 common neighbor:
     * cn = |N(u) ∩ N(v)|, w_aa = Σ_w 1/ln(deg w), w_ra = Σ_w 1/deg w.
     */
-  def commonNeighborStats(g: SparkGraph): DataFrame = {
-    import g.spark.implicits._
-    pairs(g, edges = false)((acc, u, v) => (u, v, acc.cn(v).toLong, acc.aa(v), acc.ra(v)))
-      .toDF("u", "v", "cn", "w_aa", "w_ra")
-  }
+  def commonNeighborStats(g: SparkGraph): DataFrame =
+    lift(g, edges = false, "u", "v", "cn", "w_aa", "w_ra") { (acc, u, v) =>
+      (u, v, acc.cn(v).toLong, acc.aa(v), acc.ra(v))
+    }
 
   /** Similarity scores (u, v, score) for every pair with ≥1 common neighbor,
     * u < v, under `measure`. For [[PreferentialAttachment]] and
     * [[TotalNeighbors]] the score is still restricted to these pairs (the
     * candidate universe of link prediction §6.7).
     */
-  def scores(g: SparkGraph, measure: Measure): DataFrame = {
-    import g.spark.implicits._
-    pairs(g, edges = false)((acc, u, v) => (u, v, acc.score(measure, u, v))).toDF("u", "v", "score")
-  }
+  def scores(g: SparkGraph, measure: Measure): DataFrame =
+    lift(g, edges = false, "u", "v", "score")((acc, u, v) => (u, v, acc.score(measure, u, v)))
 
   /** Scores restricted to *adjacent* pairs — the input to Jarvis-Patrick. */
-  def edgeScores(g: SparkGraph, measure: Measure): DataFrame = {
-    import g.spark.implicits._
-    pairs(g, edges = true)((acc, u, v) => (u, v, acc.score(measure, u, v))).toDF("u", "v", "score")
-  }
+  def edgeScores(g: SparkGraph, measure: Measure): DataFrame =
+    lift(g, edges = true, "u", "v", "score")((acc, u, v) => (u, v, acc.score(measure, u, v)))
 }

@@ -28,11 +28,6 @@ final class SparkGraph private (val spark: SparkSession, val n: Int,
   /** Number of undirected edges m, read from the CSR. */
   def m: Long = toLocal.m
 
-  /** The CSR's edges with src < dst (each undirected edge once) as `int`
-    * columns, lifted back to the dataflow level.
-    */
-  def canonicalEdges: DataFrame = SparkGraph.fromLocal(spark, toLocal).edges
-
   /** The graph's driver-side CSR, which the kernels broadcast; the only
     * place where the raw edges are cleaned.
     *

@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.repro.ListenerBus
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -12,6 +13,15 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** The ids of the Spark jobs `body` submits, under a job group of its own. */
+  def jobs(group: String)(body: => Any): Seq[Int] = {
+    val sc = spark.sparkContext
+    sc.setJobGroup(s"$suiteName: $group", group)
+    try body finally sc.clearJobGroup()
+    ListenerBus.drain(sc)
+    sc.statusTracker.getJobIdsForGroup(s"$suiteName: $group").toSeq
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -104,6 +104,17 @@ class KCliqueSpec extends SparkSpec {
     }
   }
 
+  test("listing rejects k ≤ 0, naming k") {
+    val local = GraphGen.erLocal(20, 0.5, 8)
+    val rank = Array.range(0, 20)
+    for (k <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](KClique.listLocal(local, k, rank))
+      assert(e.getMessage.contains(s"k = $k"), e.getMessage)
+      val s = intercept[IllegalArgumentException](KCliqueStar.listLocal(local, k, rank))
+      assert(s.getMessage.contains(s"k = $k"), s.getMessage)
+    }
+  }
+
   test("run() reports timing breakdown and throughput") {
     val g = SparkGraph.fromLocal(spark, GraphGen.erLocal(30, 0.3, 9))
     val r = KClique.run(g, 3, Reorder.AdgOrder(0.1))

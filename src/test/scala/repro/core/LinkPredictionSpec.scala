@@ -1,29 +1,59 @@
 package repro.core
 
+import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.graph.{GraphGen, SparkGraph}
 
 class LinkPredictionSpec extends SparkSpec {
 
   test("split partitions the edge set exactly") {
-    import spark.implicits._
     val g = GraphGen.er(spark, 60, 300, seed = 51)
-    val (sparse, removed) = LinkPrediction.split(g, 0.2, seed = 1)
-    val all = g.canonicalEdges.as[(Int, Int)].collect().toSet
-    val kept = sparse.canonicalEdges.as[(Int, Int)].collect().toSet
-    val rem = removed.as[(Int, Int)].collect().toSet
+    val (sparse, rem) = LinkPrediction.split(g.toLocal, 0.2, seed = 1)
+    val all = g.toLocal.edgeList.toSet
+    val kept = sparse.edgeList.toSet
     assert(kept.intersect(rem).isEmpty)
     assert(kept.union(rem) == all)
   }
 
   test("split depends on the edges and the seed, not on the partitioning") {
-    import spark.implicits._
     val g = GraphGen.er(spark, 60, 300, seed = 51)
     val reshuffled = SparkGraph(spark, g.edges.repartition(7), g.n)
-    def removed(h: SparkGraph) = LinkPrediction.split(h, 0.2, seed = 1)._2.as[(Int, Int)].collect().toSet
+    def removed(h: SparkGraph) = LinkPrediction.split(h.toLocal, 0.2, seed = 1)._2
     val r = removed(g)
     assert(r.nonEmpty)
     assert(removed(reshuffled) == r)
+  }
+
+  /** The edges of `g` that the split's former Catalyst query removed: the
+    * CSR's edges lifted to `int` (src, dst) rows, dropped where the top 53
+    * bits of `xxhash64(src, dst, seed)` fall below `frac`. The reference
+    * the split's draw on the driver is checked against.
+    */
+  private def catalystRemoved(g: SparkGraph, frac: Double, seed: Long): Set[(Int, Int)] = {
+    import spark.implicits._
+    val draw = shiftrightunsigned(xxhash64($"src", $"dst", lit(seed)), 11).cast("double") / math.pow(2, 53)
+    SparkGraph.fromLocal(spark, g.toLocal).edges.where(draw < frac).as[(Int, Int)].collect().toSet
+  }
+
+  test("split removes exactly the edges of the Catalyst xxhash64 draw") {
+    for ((name, g, seed) <- Seq[(String, SparkGraph, Long)](
+           ("ER(60, 300)", GraphGen.er(spark, 60, 300, seed = 51), 1L),
+           ("ER(80, 500)", GraphGen.er(spark, 80, 500, seed = 55), 5L),
+           ("planted cliques", GraphGen.plantedCliques(spark, n = 150, bgEdges = 120,
+                                                       cliques = 6, sizes = Seq(10)), 4L));
+         frac <- Seq(0.1, 0.0, 1.0)) {
+      val want = catalystRemoved(g, frac, seed)
+      assert(LinkPrediction.split(g.toLocal, frac, seed)._2 == want, s"$name, frac $frac")
+      if (frac == 0.1) assert(want.nonEmpty && want.size < g.m, name)
+      if (frac == 1.0) assert(want.size == g.m, name)
+      if (frac == 0.0) assert(want.isEmpty, name)
+    }
+  }
+
+  test("run submits one Spark job on a graph whose CSR is held") {
+    val g = GraphGen.er(spark, 80, 500, seed = 55)
+    g.toLocal
+    assert(jobs("link prediction")(LinkPrediction.run(g, Similarity.Jaccard, frac = 0.1, seed = 5)).size == 1)
   }
 
   test("frac=0 removes nothing; effectiveness well-defined") {
@@ -57,10 +87,7 @@ class LinkPredictionSpec extends SparkSpec {
     * desc, u, v), and count the removed edges among the first |E_rndm|.
     */
   private def reference(g: SparkGraph, m: Similarity.Measure, frac: Double, seed: Long): LinkPrediction.Result = {
-    import spark.implicits._
-    val (sparse, removedDf) = LinkPrediction.split(g, frac, seed)
-    val removed = removedDf.as[(Int, Int)].collect().toSet
-    val local = sparse.toLocal
+    val (local, removed) = LinkPrediction.split(g.toLocal, frac, seed)
     val cand = for {
       u <- 0 until local.n; v <- u + 1 until local.n if !local.hasEdge(u, v)
       (cn, s) = BruteSimilarity(local, m, u, v) if cn > 0

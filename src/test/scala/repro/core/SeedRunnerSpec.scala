@@ -39,17 +39,6 @@ class SeedRunnerSpec extends SparkSpec {
     assert(perThread.flatten.sorted.toSeq == (0 until 100003))
   }
 
-  for (units <- Seq(0, 5, 10007)) {
-    test(s"rows emits every unit exactly once, on every evaluation: $units units") {
-      val data = Array.range(0, units).map(_ * 3L)
-      val rows = SeedRunner.rows(sc, data, units, tasks = 16)((d, us) => us.map(u => (u, d(u))))
-      assert(rows.getNumPartitions == 16)
-      val first = rows.collect().sorted.toSeq
-      assert(first == (0 until units).map(u => (u, u * 3L)))
-      assert(rows.collect().sorted.toSeq == first)
-    }
-  }
-
   test("tasks = 0 starts defaultParallelism threads") {
     // 64 units: never more than 64 threads, whatever the core count.
     val perThread = SeedRunner.run(sc, (), 64, tasks = 0)((_, us) => (us.size, Thread.currentThread.getName))

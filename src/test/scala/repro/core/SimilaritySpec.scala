@@ -127,4 +127,10 @@ class SimilaritySpec extends SparkSpec {
     assert(s.forall { case (u, v, _) => u < v })
     assert(s.map(r => (r._1, r._2)).distinct.length == s.length)
   }
+
+  test("scores submits one Spark job on a graph whose CSR is held") {
+    g.toLocal
+    for (m <- Similarity.allMeasures)
+      assert(jobs(s"scores ${m.name}")(Similarity.scores(g, m).collect()).size == 1, m.name)
+  }
 }

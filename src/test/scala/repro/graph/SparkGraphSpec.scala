@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.repro.ListenerBus
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.KClique
@@ -15,8 +14,7 @@ class SparkGraphSpec extends SparkSpec {
   }
 
   test("fromEdgeList drops self-loops and duplicates, symmetrises") {
-    import spark.implicits._
-    val canon = g.canonicalEdges.as[(Int, Int)].collect().toSet
+    val canon = g.toLocal.edgeList.toSet
     assert(canon == Set((0, 1), (1, 2), (2, 3), (0, 2)))
     assert(g.m == 4)
     // symmetric: both directions present
@@ -95,15 +93,6 @@ class SparkGraphSpec extends SparkSpec {
       val ex = intercept[Exception](outside.toLocal)
       assert(ex.getMessage.contains("edge (3, 0) has an endpoint outside [0, 3)"), ex.getMessage)
     }
-  }
-
-  /** The ids of the Spark jobs `body` submits, under a job group of its own. */
-  private def jobs(group: String)(body: => Any): Seq[Int] = {
-    val sc = spark.sparkContext
-    sc.setJobGroup(s"SparkGraphSpec: $group", group)
-    try body finally sc.clearJobGroup()
-    ListenerBus.drain(sc)
-    sc.statusTracker.getJobIdsForGroup(s"SparkGraphSpec: $group").toSeq
   }
 
   test("a graph's first toLocal runs one Spark job of one stage: no shuffle") {
